@@ -271,8 +271,8 @@ impl StoredSession {
     }
 
     /// The store's health as `/healthz` reports it: snapshot generation
-    /// plus the journal lag in bytes and records. Publish it with
-    /// [`cable_obs::http::set_health`] whenever the store changes.
+    /// plus the journal lag in bytes and records. Hand it to the server
+    /// with [`cable_obs::ObsServer::with_health`].
     ///
     /// # Errors
     ///

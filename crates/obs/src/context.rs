@@ -28,12 +28,13 @@
 //!
 //! Child ids are minted structurally, not from a clock or a global
 //! counter: `child = mix(parent_span_id, k)` where `k` is the parent's
-//! per-frame child sequence number for in-thread children, or the
-//! caller-supplied adopt tag for cross-thread tasks (chunk index, spawn
-//! index). Chunk boundaries depend only on input length, so the same
-//! request produces the same span ids under `CABLE_PAR=1` and
-//! `CABLE_PAR=8` — which is what lets the determinism gate cover
-//! attribution.
+//! per-frame child sequence number. A [`capture`] draws the next number
+//! of that sequence too, on the submitting thread, and keys its task
+//! spans as `mix(reserved_id, tag)` with the caller-supplied adopt tag
+//! (chunk index) — so two fan-outs under one span never share ids.
+//! Chunk boundaries depend only on input length, so the same request
+//! produces the same span ids under `CABLE_PAR=1` and `CABLE_PAR=8` —
+//! which is what lets the determinism gate cover attribution.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -45,7 +46,7 @@ pub const MAX_SPANS_PER_TRACE: usize = 4096;
 
 /// Tag space for `par_map` chunk tasks (`CHUNK_TAG | chunk_index`).
 pub const CHUNK_TAG: u64 = 0x8000_0000_0000_0000;
-/// Tag space for `scope().spawn` tasks (`SPAWN_TAG | spawn_index`).
+/// Tag for `scope().spawn` tasks (each spawn captures its own key).
 pub const SPAWN_TAG: u64 = 0x4000_0000_0000_0000;
 /// Tag for the synthetic accept-queue wait span under the request root.
 pub const QUEUE_TAG: u64 = 0x2000_0000_0000_0001;
@@ -182,6 +183,27 @@ pub(crate) struct EventIds {
     pub parent: u64,
 }
 
+/// Mints the id of the next child of the innermost open frame (or the
+/// next top-level span when no frame is open), advancing that frame's
+/// child sequence. Returns `(child id, parent id)`.
+fn next_child(state: &mut TraceState) -> (u64, u64) {
+    match state.frames.last_mut() {
+        Some(top) => {
+            top.child_seq += 1;
+            (mix(top.span, top.child_seq), top.span)
+        }
+        None => {
+            let span = if state.base_seq == 0 {
+                state.base_key
+            } else {
+                mix(state.base_key, state.base_seq)
+            };
+            state.base_seq += 1;
+            (span, state.base_parent)
+        }
+    }
+}
+
 /// Called by `recorder::push` on a `Begin`: mints the child span id,
 /// pushes the frame, and returns the ids for the event. Zeroes when no
 /// context is active on this thread.
@@ -191,21 +213,7 @@ pub(crate) fn on_begin(name: &'static str, ts_ns: u64) -> EventIds {
         let Some(state) = slot.as_mut() else {
             return EventIds::default();
         };
-        let (span, parent) = match state.frames.last_mut() {
-            Some(top) => {
-                top.child_seq += 1;
-                (mix(top.span, top.child_seq), top.span)
-            }
-            None => {
-                let span = if state.base_seq == 0 {
-                    state.base_key
-                } else {
-                    mix(state.base_key, state.base_seq)
-                };
-                state.base_seq += 1;
-                (span, state.base_parent)
-            }
-        };
+        let (span, parent) = next_child(state);
         state.frames.push(Frame {
             name,
             span,
@@ -431,22 +439,28 @@ pub struct TraceHandle {
     trace_hi: u64,
     trace_lo: u64,
     parent_span: u64,
+    /// This capture's own key: a child id of `parent_span` reserved at
+    /// capture time, so successive captures under one span never share
+    /// task ids.
+    key: u64,
     collector: Arc<Collector>,
 }
 
 /// Snapshots the context active on this thread, or `None` outside a
-/// request. Call on the *submitting* thread, before moving the task.
+/// request. Call on the *submitting* thread, before moving the task:
+/// each call reserves the next child id of the innermost open span as
+/// the handle's key, so ids stay a pure function of program order.
 pub fn capture() -> Option<TraceHandle> {
     STATE.with(|s| {
-        s.borrow().as_ref().map(|state| TraceHandle {
-            trace_hi: state.trace_hi,
-            trace_lo: state.trace_lo,
-            parent_span: state
-                .frames
-                .last()
-                .map(|f| f.span)
-                .unwrap_or(state.base_key),
-            collector: state.collector.clone(),
+        s.borrow_mut().as_mut().map(|state| {
+            let (key, parent_span) = next_child(state);
+            TraceHandle {
+                trace_hi: state.trace_hi,
+                trace_lo: state.trace_lo,
+                parent_span,
+                key,
+                collector: state.collector.clone(),
+            }
         })
     })
 }
@@ -456,16 +470,15 @@ impl TraceHandle {
     /// lifetime, swapping out (and on drop restoring) whatever context
     /// the thread had — a worker mid-steal can never interleave two
     /// requests' frames. `tag` must be deterministic for the task
-    /// (chunk index, spawn index): the task's top-level spans get ids
-    /// derived from `mix(parent_span, tag)` regardless of which worker
-    /// runs it.
+    /// (chunk index): the task's top-level spans get ids derived from
+    /// `mix(key, tag)` regardless of which worker runs it.
     pub fn adopt(&self, tag: u64) -> AdoptGuard {
         let saved = STATE.with(|s| {
             s.borrow_mut().replace(TraceState {
                 trace_hi: self.trace_hi,
                 trace_lo: self.trace_lo,
                 base_parent: self.parent_span,
-                base_key: mix(self.parent_span, tag),
+                base_key: mix(self.key, tag),
                 base_seq: 0,
                 frames: Vec::new(),
                 collector: self.collector.clone(),
@@ -592,10 +605,11 @@ mod tests {
         {
             let _adopted = handle.adopt(CHUNK_TAG);
             // The adopted state starts empty: a begin here is a
-            // top-level span parented to the captured span.
+            // top-level span parented to the captured span, keyed by
+            // the child id the capture reserved.
             let ids = on_begin("chunk", 10);
             assert_eq!(ids.parent, ctx.span_id);
-            assert_eq!(ids.span, mix(ctx.span_id, CHUNK_TAG));
+            assert_eq!(ids.span, mix(mix(ctx.span_id, 1), CHUNK_TAG));
             on_end("chunk", 20);
         }
         // Restored: the original frame is back on top.
@@ -626,6 +640,26 @@ mod tests {
         let mut reversed = run(&[2, 1, 0]);
         reversed.reverse();
         assert_eq!(forward, reversed, "ids depend on the tag, not the order");
+    }
+
+    #[test]
+    fn successive_captures_under_one_span_get_distinct_task_ids() {
+        let ctx = TraceCtx::mint(7, 7);
+        let _collector = install(ctx);
+        on_begin("req", 0);
+        let chunk_id = |handle: &TraceHandle| {
+            let _g = handle.adopt(CHUNK_TAG);
+            let ids = on_begin("chunk", 1);
+            on_end("chunk", 2);
+            ids.span
+        };
+        let first = chunk_id(&capture().unwrap());
+        let second = chunk_id(&capture().unwrap());
+        // A span opened after the captures skips their reserved ids.
+        let sibling = on_begin("step", 3);
+        uninstall();
+        assert_ne!(first, second, "chunk 0 of two fan-outs share an id");
+        assert_eq!(sibling.span, mix(ctx.span_id, 3));
     }
 
     #[test]

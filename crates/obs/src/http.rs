@@ -1,31 +1,35 @@
 //! Std-only HTTP/1.1 server: the exposition endpoints (`/metrics`,
 //! `/healthz`, `/tracez`, `/tracez/export`, `/eventz`, `/sloz`) plus a
-//! pluggable JSON API plane under `/api/` (see [`set_api_handler`]).
+//! pluggable JSON API plane under `/api/` (see [`ObsServer::with_api`]).
 //!
-//! Every parsed request is minted a [`TraceCtx`] (seeded via
-//! [`set_trace_seed`], sequence-numbered per request) and handled under
-//! a request root span; the finished span tree feeds the tail store
-//! (see [`crate::tail`]), `/tracez?trace=ID` renders kept trees as
-//! waterfalls, `/tracez?slowest=N` indexes the slowest requests, and
-//! per-route latency lands in the `http_request_us` scoped family.
+//! An [`ObsServer`] owns everything a request reads: its
+//! [`ServerConfig`], its API handler, its store health, its trace seed
+//! and request counter, and its own tail store. Two servers in one
+//! process share nothing but the process-wide metric registry and
+//! flight recorder behind `/metrics` and `/tracez`.
+//!
+//! Every parsed request is minted a [`TraceCtx`] (from
+//! [`ServerConfig::trace_seed`] and the server's request sequence
+//! number) and handled under a request root span; the finished span
+//! tree feeds the server's tail store (see [`crate::tail`]),
+//! `/tracez?trace=ID` renders kept trees as waterfalls,
+//! `/tracez?slowest=N` indexes the slowest requests, and per-route
+//! latency lands in the `http_request_us` scoped family.
 //!
 //! Per DESIGN.md §8 this is hand-rolled over [`std::net::TcpListener`] —
 //! no external HTTP stack. Connections are served by a fixed pool of
-//! worker threads (default [`MAX_CONNECTIONS`], tunable via
-//! [`ServerConfig`] / `--max-connections` / `CABLE_MAX_CONNS`) fed from
-//! a bounded accept queue: when every worker is busy, up to
-//! [`ServerConfig::queue_depth`] connections wait their turn, and only
-//! past *that* does the accept loop shed load — with `429 Too Many
-//! Requests` plus a `Retry-After` header, so well-behaved clients back
-//! off and retry instead of treating the flat refusal as an outage
-//! (DESIGN.md §14's backpressure protocol; previously this was an
-//! immediate `503` at the worker cap). A connection may send at most
-//! [`MAX_HEADER_BYTES`] of request line plus headers (`431` past that)
-//! and at most [`MAX_BODY_BYTES`] of body (`413` past that), must make
-//! read progress within the 2 s timeout, and is always closed after the
-//! response — slowloris-style trickles cost one worker for at most one
-//! timeout, and queued victims behind them are served as workers free
-//! up.
+//! worker threads ([`ServerConfig::max_connections`], default
+//! [`MAX_CONNECTIONS`]) fed from a bounded accept queue: when every
+//! worker is busy, up to [`ServerConfig::queue_depth`] connections wait
+//! their turn, and only past *that* does the accept loop shed load —
+//! with `429 Too Many Requests` plus a `Retry-After` header, so
+//! well-behaved clients back off and retry instead of treating the flat
+//! refusal as an outage (DESIGN.md §14's backpressure protocol). A
+//! connection may send at most [`MAX_HEADER_BYTES`] of request line plus
+//! headers (`431` past that) and at most [`MAX_BODY_BYTES`] of body
+//! (`413` past that), must make read progress within the I/O timeout
+//! and deliver its whole request within the connection deadline (`408`
+//! past it), and is always closed after the response.
 //!
 //! Security posture (DESIGN.md §11): addresses given as a bare port bind
 //! `127.0.0.1`; exposing the endpoints beyond localhost requires an
@@ -36,16 +40,17 @@ use crate::context::{self, TraceCtx};
 use crate::events::{self, WideEvent};
 use crate::json::Value;
 use crate::metrics::{CounterHandle, HistogramHandle};
+use crate::prom;
 use crate::recorder;
 use crate::registry::registry;
 use crate::slo;
-use crate::tail;
-use crate::{prom, Counter};
+use crate::tail::{self, TailStore};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 static REQUESTS: CounterHandle = CounterHandle::new("obs.http.requests");
@@ -66,25 +71,13 @@ static QUEUED: CounterHandle = CounterHandle::new("obs.http.queued");
 /// `/metrics` contention families.
 static WAIT_QUEUE: HistogramHandle = HistogramHandle::new("wait.queue.us");
 
-/// Seed that minted trace ids derive from; the request sequence number
-/// advances once per parsed request. With a pinned seed and the same
-/// request order, a drill mints the same trace ids run to run.
-static TRACE_SEED: AtomicU64 = AtomicU64::new(0);
-static REQUEST_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Pins the seed request trace ids are minted from (`CABLE_TRACE_SEED`
-/// / `cable serve --trace-seed`).
-pub fn set_trace_seed(seed: u64) {
-    TRACE_SEED.store(seed, Ordering::Relaxed);
-}
-
 /// Ceiling on request line + header bytes a connection may send.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Ceiling on request body bytes (`413` past it) — bounds what one
 /// `POST /api/sessions/:id/ingest` can make the server buffer.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Default ceiling on concurrently served connections (the worker-pool
-/// size). Tunable per server via [`ServerConfig`].
+/// size).
 pub const MAX_CONNECTIONS: usize = 8;
 /// Default depth of the accept queue behind the worker pool; past
 /// workers + queue the server answers `429` with `Retry-After`.
@@ -111,11 +104,12 @@ pub const EVENTZ_EVENT_LIMIT: usize = 64;
 /// a multi-MB response.
 pub const MAX_QUERY_LIMIT: usize = 100_000;
 
-/// Sizing of one server: how many connections are served concurrently
-/// and how many may wait behind them before load-shedding starts.
+/// The knobs of one server: its sizing, its patience with slow clients,
+/// and how it mints and keeps request traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads — concurrently served connections.
+    /// Worker threads — concurrently served connections
+    /// (`--max-connections`).
     pub max_connections: usize,
     /// Accepted connections allowed to wait for a worker; past
     /// `max_connections + queue_depth` in flight, new connections get
@@ -127,6 +121,13 @@ pub struct ServerConfig {
     /// (the slowloris guard; `408` + `obs.http.slow_client_aborts` past
     /// it).
     pub connection_deadline: Duration,
+    /// Seed request trace ids are minted from (`--trace-seed`). With a
+    /// pinned seed and the same request order, a drill mints the same
+    /// trace ids run to run.
+    pub trace_seed: u64,
+    /// Wall time, microseconds, at or above which a request's complete
+    /// span tree is always kept (`--trace-slow-us`).
+    pub trace_slow_us: u64,
 }
 
 impl Default for ServerConfig {
@@ -136,12 +137,14 @@ impl Default for ServerConfig {
             queue_depth: QUEUE_DEPTH,
             io_timeout: IO_TIMEOUT,
             connection_deadline: CONNECTION_DEADLINE,
+            trace_seed: 0,
+            trace_slow_us: tail::DEFAULT_SLOW_US,
         }
     }
 }
 
-/// What `/healthz` reports about an open store, set by whoever holds
-/// one (the `cable` binary) via [`set_health`].
+/// What `/healthz` reports about an open store, handed to the server by
+/// whoever holds one (the `cable` binary) via [`ObsServer::with_health`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Snapshot generation of the open store.
@@ -157,18 +160,6 @@ pub struct HealthInfo {
     pub degraded: Option<String>,
 }
 
-fn health_slot() -> &'static Mutex<Option<HealthInfo>> {
-    static SLOT: OnceLock<Mutex<Option<HealthInfo>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Publishes store health for `/healthz`. Call with `None` when no
-/// store is open (the endpoint then reports `"store": "none"` but stays
-/// healthy — a serving process without a store is not broken).
-pub fn set_health(info: Option<HealthInfo>) {
-    *health_slot().lock().expect("obs health poisoned") = info;
-}
-
 /// A request routed to the API plane: anything under `/api/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiRequest {
@@ -182,8 +173,9 @@ pub struct ApiRequest {
     pub body: String,
 }
 
-/// An API plane's answer. The server adds framing (status text,
-/// `Content-Length`, `Connection: close`) around it.
+/// One response, from the API plane or the exposition endpoints. The
+/// server adds framing (status text, `Content-Length`, `Connection:
+/// close`) around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiResponse {
     /// HTTP status code (200, 201, 400, 404, …).
@@ -214,6 +206,16 @@ impl ApiResponse {
         }
     }
 
+    /// A plain-text response.
+    pub fn text(status: u16, body: impl Into<String>) -> ApiResponse {
+        ApiResponse {
+            status,
+            content_type: "text/plain; charset=utf-8",
+            body: body.into(),
+            retry_after: None,
+        }
+    }
+
     /// An error response with the standard `{"error": …, "status": …}`
     /// body.
     pub fn error(status: u16, message: &str) -> ApiResponse {
@@ -235,27 +237,12 @@ impl ApiResponse {
 
 /// The API plane behind `/api/` routes. `cable-obs` deliberately knows
 /// nothing about sessions — the dependency runs the other way — so the
-/// session service (`cable-core`'s `CableApi`) installs itself here via
-/// [`set_api_handler`], exactly like [`set_health`].
+/// session service (`cable-core`'s `CableApi`) is handed to the server
+/// via [`ObsServer::with_api`].
 pub trait ApiHandler: Send + Sync {
     /// Handles one API request. Infallible by construction: errors are
     /// [`ApiResponse`]s with 4xx/5xx statuses.
     fn handle(&self, request: &ApiRequest) -> ApiResponse;
-}
-
-fn api_slot() -> &'static Mutex<Option<Arc<dyn ApiHandler>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<dyn ApiHandler>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or with `None` removes) the `/api/` handler. Without one,
-/// API routes answer `404` with a hint to start `cable serve --api`.
-pub fn set_api_handler(handler: Option<Arc<dyn ApiHandler>>) {
-    *api_slot().lock().expect("obs api handler poisoned") = handler;
-}
-
-fn api_handler() -> Option<Arc<dyn ApiHandler>> {
-    api_slot().lock().expect("obs api handler poisoned").clone()
 }
 
 /// Parses an `--obs-listen` value: either a full socket address
@@ -269,31 +256,30 @@ pub fn parse_listen_addr(s: &str) -> Result<SocketAddr, String> {
         .map_err(|e| format!("invalid listen address {s:?}: {e}"))
 }
 
-/// The HTTP server. [`ObsServer::bind`], then either
-/// [`ObsServer::serve`] (block forever, for `cable serve`) or
-/// [`ObsServer::spawn`] (background thread with a stop guard, for
-/// `--obs-listen` alongside other work).
+/// The HTTP server. [`ObsServer::bind`], optionally attach an API plane
+/// ([`ObsServer::with_api`]) and store health
+/// ([`ObsServer::with_health`]), then either [`ObsServer::spawn`]
+/// (background threads with a stop guard, for `--obs-listen` alongside
+/// other work) or [`ObsServer::serve`] (block forever, for `cable
+/// serve`).
 pub struct ObsServer {
     listener: TcpListener,
     addr: SocketAddr,
     config: ServerConfig,
+    api: Option<Arc<dyn ApiHandler>>,
+    health: Option<HealthInfo>,
+    tail: TailStore,
 }
 
 impl ObsServer {
-    /// Binds the listener with the default [`ServerConfig`]. `addr`
-    /// accepts the [`parse_listen_addr`] forms; port 0 picks an
-    /// ephemeral port (see [`ObsServer::addr`]).
-    pub fn bind(addr: &str) -> Result<ObsServer, String> {
-        Self::bind_with(addr, ServerConfig::default())
-    }
-
-    /// [`ObsServer::bind`] with explicit sizing.
+    /// Binds the listener. `addr` accepts the [`parse_listen_addr`]
+    /// forms; port 0 picks an ephemeral port (see [`ObsServer::addr`]).
     ///
     /// # Errors
     ///
     /// Fails on an unparsable address, a bind error, or a zero
     /// `max_connections`.
-    pub fn bind_with(addr: &str, config: ServerConfig) -> Result<ObsServer, String> {
+    pub fn bind(addr: &str, config: ServerConfig) -> Result<ObsServer, String> {
         if config.max_connections == 0 {
             return Err("max connections must be at least 1".to_owned());
         }
@@ -307,7 +293,25 @@ impl ObsServer {
             listener,
             addr,
             config,
+            api: None,
+            health: None,
+            tail: TailStore::new(config.trace_slow_us),
         })
+    }
+
+    /// Routes `/api/` requests to `handler`. Without one, API routes
+    /// answer `404` with a hint to start `cable serve --api`.
+    pub fn with_api(mut self, handler: Arc<dyn ApiHandler>) -> ObsServer {
+        self.api = Some(handler);
+        self
+    }
+
+    /// Reports `health` on `/healthz`. Without it the endpoint reports
+    /// `"store": "none"` but stays healthy — a serving process without
+    /// a store is not broken.
+    pub fn with_health(mut self, health: HealthInfo) -> ObsServer {
+        self.health = Some(health);
+        self
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
@@ -317,112 +321,110 @@ impl ObsServer {
 
     /// Serves requests on the calling thread until the process exits.
     pub fn serve(self) -> ! {
-        let pool = WorkerPool::start(self.config);
-        loop {
-            if let Ok((stream, _)) = self.listener.accept() {
-                pool.submit(stream);
-            }
+        let mut guard = self.spawn();
+        if let Some(accept) = guard.accept.take() {
+            let _ = accept.join();
         }
+        panic!("the obs accept loop stopped while its server was serving");
     }
 
-    /// Serves requests from a background thread; the returned guard
+    /// Serves requests from background threads; the returned guard
     /// stops the server when dropped.
     pub fn spawn(self) -> ServerGuard {
+        let ObsServer {
+            listener,
+            addr,
+            config,
+            api,
+            health,
+            tail,
+        } = self;
+        let shared = Arc::new(Shared {
+            config,
+            api,
+            health,
+            request_seq: AtomicU64::new(0),
+            tail,
+            queue: Mutex::new(Queue::default()),
+            ready: Condvar::new(),
+        });
+        let workers = (0..config.max_connections)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("cable-obs-conn-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn obs worker thread")
+            })
+            .collect();
         let stop = Arc::new(AtomicBool::new(false));
-        let addr = self.addr;
-        let pool = WorkerPool::start(self.config);
-        let accept_pool = pool.clone();
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let accept_stop = Arc::clone(&stop);
+        let accept_shared = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
             .name("cable-obs-http".into())
             .spawn(move || loop {
-                let Ok((stream, _)) = self.listener.accept() else {
+                let Ok((stream, _)) = listener.accept() else {
                     continue;
                 };
-                if thread_stop.load(Ordering::Acquire) {
+                if accept_stop.load(Ordering::Acquire) {
                     return;
                 }
-                accept_pool.submit(stream);
+                accept_shared.submit(stream);
             })
             .expect("spawn obs http thread");
         ServerGuard {
             addr,
             stop,
-            handle: Some(handle),
-            pool: Some(pool),
+            accept: Some(accept),
+            workers,
+            shared,
         }
     }
 }
 
-/// The fixed pool of connection-handler threads plus the bounded queue
-/// feeding them. Submitting past `workers + queue_depth` in flight
-/// answers `429` on the accept thread (cheap: one small write, no
-/// reads) so the loop is back to accepting without waiting on anyone's
-/// timeout.
-#[derive(Clone)]
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    ready: Condvar,
-    queue_depth: usize,
+/// What one server's accept thread and workers share: the server's own
+/// state plus the bounded queue between them.
+struct Shared {
     config: ServerConfig,
+    api: Option<Arc<dyn ApiHandler>>,
+    health: Option<HealthInfo>,
+    /// Requests parsed so far; numbers each request's trace id.
+    request_seq: AtomicU64,
+    tail: TailStore,
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
-struct PoolState {
+#[derive(Default)]
+struct Queue {
     /// Waiting connections, each with its enqueue instant so the
     /// dequeuing worker can account the queue wait (a cross-thread
     /// wait can't be a recorder span — lanes are single-writer).
-    queue: VecDeque<(TcpStream, Instant)>,
+    waiting: VecDeque<(TcpStream, Instant)>,
     stop: bool,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl WorkerPool {
-    fn start(config: ServerConfig) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                stop: false,
-                workers: Vec::new(),
-            }),
-            ready: Condvar::new(),
-            queue_depth: config.queue_depth,
-            config,
-        });
-        let mut workers = Vec::with_capacity(config.max_connections);
-        for i in 0..config.max_connections {
-            let worker_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("cable-obs-conn-{i}"))
-                .spawn(move || worker_loop(&worker_shared))
-                .expect("spawn obs worker thread");
-            workers.push(handle);
-        }
-        shared.state.lock().expect("obs pool poisoned").workers = workers;
-        WorkerPool { shared }
-    }
-
+impl Shared {
     /// Queues a connection for a worker, or sheds it with `429` when
-    /// the queue is at depth.
+    /// the queue is at depth. Shedding runs on the accept thread and is
+    /// cheap (one small write, a bounded drain), so the loop is back to
+    /// accepting without waiting on anyone's timeout.
     fn submit(&self, stream: TcpStream) {
         {
-            let mut state = self.shared.state.lock().expect("obs pool poisoned");
-            if state.queue.len() < self.shared.queue_depth {
-                if !state.queue.is_empty() {
+            let mut queue = self.queue.lock().expect("obs queue poisoned");
+            if queue.waiting.len() < self.config.queue_depth {
+                if !queue.waiting.is_empty() {
                     QUEUED.get().incr();
                 }
-                state.queue.push_back((stream, Instant::now()));
-                drop(state);
-                self.shared.ready.notify_one();
+                queue.waiting.push_back((stream, Instant::now()));
+                drop(queue);
+                self.ready.notify_one();
                 return;
             }
         }
         REJECTED.get().incr();
         let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(self.shared.config.io_timeout));
+        let _ = stream.set_write_timeout(Some(self.config.io_timeout));
         let body = "server over capacity, retry\n";
         let _ = write!(
             stream,
@@ -445,37 +447,26 @@ impl WorkerPool {
             }
         }
     }
-
-    /// Stops the workers and joins them. Safe to call once, from the
-    /// owning [`ServerGuard`].
-    fn shutdown(&self) {
-        let workers = {
-            let mut state = self.shared.state.lock().expect("obs pool poisoned");
-            state.stop = true;
-            std::mem::take(&mut state.workers)
-        };
-        self.shared.ready.notify_all();
-        for handle in workers {
-            let _ = handle.join();
-        }
-    }
 }
 
-fn worker_loop(shared: &PoolShared) {
+fn worker_loop(shared: &Shared) {
     loop {
         let (stream, enqueued) = {
-            let mut state = shared.state.lock().expect("obs pool poisoned");
+            let mut queue = shared.queue.lock().expect("obs queue poisoned");
             loop {
-                if let Some(job) = state.queue.pop_front() {
+                if let Some(job) = queue.waiting.pop_front() {
                     break job;
                 }
-                if state.stop {
+                if queue.stop {
                     return;
                 }
-                state = shared.ready.wait(state).expect("obs pool condvar poisoned");
+                queue = shared
+                    .ready
+                    .wait(queue)
+                    .expect("obs queue condvar poisoned");
             }
         };
-        handle_connection(stream, REQUESTS.get(), enqueued.elapsed(), shared.config);
+        handle_connection(shared, stream, enqueued.elapsed());
     }
 }
 
@@ -483,8 +474,9 @@ fn worker_loop(shared: &PoolShared) {
 pub struct ServerGuard {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    accept: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
 }
 
 impl ServerGuard {
@@ -499,39 +491,13 @@ impl Drop for ServerGuard {
         self.stop.store(true, Ordering::Release);
         // Unblock accept() so the thread observes the flag.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
-    }
-}
-
-/// A response ready for framing.
-struct HttpResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    retry_after: Option<u64>,
-}
-
-impl HttpResponse {
-    fn text(status: u16, body: impl Into<String>) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into(),
-            retry_after: None,
-        }
-    }
-
-    fn json(status: u16, value: &Value) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "application/json; charset=utf-8",
-            body: format!("{value}\n"),
-            retry_after: None,
+        self.shared.queue.lock().expect("obs queue poisoned").stop = true;
+        self.shared.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -606,12 +572,8 @@ fn abort_unfinished_read(reader: BufReader<DeadlineStream>, deadline: Instant) {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    requests: &Counter,
-    queue_wait: Duration,
-    config: ServerConfig,
-) {
+fn handle_connection(shared: &Shared, stream: TcpStream, queue_wait: Duration) {
+    let config = &shared.config;
     let deadline = Instant::now() + config.connection_deadline;
     let _ = stream.set_read_timeout(Some(config.io_timeout));
     let _ = stream.set_write_timeout(Some(config.io_timeout));
@@ -652,7 +614,7 @@ fn handle_connection(
             Err(_) => return abort_unfinished_read(reader, deadline),
         }
     }
-    requests.incr();
+    REQUESTS.get().incr();
     let started = Instant::now();
     // Mint the request's causal context: every recorder span opened
     // while handling — on this thread or adopted by pool workers — is
@@ -660,8 +622,8 @@ fn handle_connection(
     // the request's wall time via a synthetic `wait.queue` child span.
     let queue_wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
     WAIT_QUEUE.get().record(queue_wait_us);
-    let seq = REQUEST_SEQ.fetch_add(1, Ordering::Relaxed);
-    let ctx = TraceCtx::mint(TRACE_SEED.load(Ordering::Relaxed), seq);
+    let seq = shared.request_seq.fetch_add(1, Ordering::Relaxed);
+    let ctx = TraceCtx::mint(config.trace_seed, seq);
     let queue_wait_ns = queue_wait.as_nanos().min(u64::MAX as u128) as u64;
     let trace = context::begin_request(ctx, "http.request", queue_wait_ns);
     if queue_wait_us > 0 {
@@ -671,12 +633,12 @@ fn handle_connection(
     let mut route = String::new();
     let response = if oversized {
         OVERSIZED.get().incr();
-        HttpResponse::text(
+        ApiResponse::text(
             431,
             format!("request line + headers exceed {MAX_HEADER_BYTES} bytes\n"),
         )
     } else if content_length > MAX_BODY_BYTES {
-        HttpResponse::text(
+        ApiResponse::text(
             413,
             format!("request body exceeds {MAX_BODY_BYTES} bytes\n"),
         )
@@ -690,7 +652,7 @@ fn handle_connection(
         let method = parts.next().unwrap_or("");
         let path = parts.next().unwrap_or("");
         route = path.split('?').next().unwrap_or("").to_owned();
-        respond(method, path, body)
+        respond(shared, method, path, body)
     };
     // Close the root span and offer the finished tree to the tail
     // store (summary always; full tree for slow/error/sampled).
@@ -701,7 +663,7 @@ fn handle_connection(
         started.elapsed().as_micros().min(u64::MAX as u128) as u64,
     );
     if recorder::recording() {
-        tail::record(label, response.status, &finished);
+        shared.tail.record(label, response.status, &finished);
     }
     // One wide event per request: the server observes itself through
     // the same stream it serves (outcome = the status code).
@@ -741,27 +703,38 @@ fn handle_connection(
     }
 }
 
+/// The non-empty `key=value` pairs of a query string (a bare `key`
+/// pairs with the empty value).
+fn query_pairs(query: Option<&str>) -> impl Iterator<Item = (&str, &str)> {
+    query
+        .unwrap_or("")
+        .split('&')
+        .filter(|p| !p.is_empty())
+        .map(|p| p.split_once('=').unwrap_or((p, "")))
+}
+
+/// Parses the value of the count parameter `key`: an integer in
+/// `1..=`[`MAX_QUERY_LIMIT`].
+fn parse_count(key: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_QUERY_LIMIT).contains(n))
+        .ok_or_else(|| {
+            format!("{key} must be an integer in 1..={MAX_QUERY_LIMIT}, got {value:?}\n")
+        })
+}
+
 /// Parses an optional `?limit=N` query. `N` must be an integer in
 /// `1..=`[`MAX_QUERY_LIMIT`]; any other query (unknown keys, garbage
 /// values, out-of-range) is a client error.
 fn parse_limit(query: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(query) = query else {
-        return Ok(default);
-    };
     let mut limit = default;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+    for (key, value) in query_pairs(query) {
         if key != "limit" {
             return Err(format!("unknown query parameter {key:?}\n"));
         }
-        match value.parse::<usize>() {
-            Ok(n) if (1..=MAX_QUERY_LIMIT).contains(&n) => limit = n,
-            _ => {
-                return Err(format!(
-                    "limit must be an integer in 1..={MAX_QUERY_LIMIT}, got {value:?}\n"
-                ))
-            }
-        }
+        limit = parse_count(key, value)?;
     }
     Ok(limit)
 }
@@ -829,94 +802,68 @@ enum TracezView {
 /// `slowest=N`; anything else is a client error. When several are
 /// given, the last one wins.
 fn parse_tracez_query(query: Option<&str>) -> Result<TracezView, String> {
-    let Some(query) = query else {
-        return Ok(TracezView::Lanes(TRACEZ_SPAN_LIMIT));
-    };
     let mut view = TracezView::Lanes(TRACEZ_SPAN_LIMIT);
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "limit" => match value.parse::<usize>() {
-                Ok(n) if (1..=MAX_QUERY_LIMIT).contains(&n) => view = TracezView::Lanes(n),
-                _ => {
-                    return Err(format!(
-                        "limit must be an integer in 1..={MAX_QUERY_LIMIT}, got {value:?}\n"
-                    ))
-                }
-            },
+    for (key, value) in query_pairs(query) {
+        view = match key {
+            "limit" => TracezView::Lanes(parse_count(key, value)?),
+            "slowest" => TracezView::Slowest(parse_count(key, value)?),
             "trace" => match context::parse_trace_hex(value) {
-                Some(_) => view = TracezView::Trace(value.to_owned()),
+                Some(_) => TracezView::Trace(value.to_owned()),
                 None => return Err(format!("trace must be 32 hex digits, got {value:?}\n")),
             },
-            "slowest" => match value.parse::<usize>() {
-                Ok(n) if (1..=MAX_QUERY_LIMIT).contains(&n) => view = TracezView::Slowest(n),
-                _ => {
-                    return Err(format!(
-                        "slowest must be an integer in 1..={MAX_QUERY_LIMIT}, got {value:?}\n"
-                    ))
-                }
-            },
             _ => return Err(format!("unknown query parameter {key:?}\n")),
-        }
+        };
     }
     Ok(view)
 }
 
-fn respond(method: &str, path: &str, body: String) -> HttpResponse {
+fn respond(shared: &Shared, method: &str, path: &str, body: String) -> ApiResponse {
     let (route, query) = match path.split_once('?') {
         Some((route, query)) => (route, Some(query)),
         None => (path, None),
     };
     // The API plane first: it owns its own methods and status codes.
     if route == "/api" || route.starts_with("/api/") {
-        return match api_handler() {
-            Some(handler) => {
-                let request = ApiRequest {
-                    method: method.to_owned(),
-                    route: route.to_owned(),
-                    query: query.map(str::to_owned),
-                    body,
-                };
-                let answer = handler.handle(&request);
-                HttpResponse {
-                    status: answer.status,
-                    content_type: answer.content_type,
-                    body: answer.body,
-                    retry_after: answer.retry_after,
-                }
-            }
-            None => HttpResponse::text(
+        return match &shared.api {
+            Some(handler) => handler.handle(&ApiRequest {
+                method: method.to_owned(),
+                route: route.to_owned(),
+                query: query.map(str::to_owned),
+                body,
+            }),
+            None => ApiResponse::text(
                 404,
                 "no session API is enabled (start `cable serve --api`)\n",
             ),
         };
     }
     if method != "GET" {
-        return HttpResponse::text(405, "only GET is served outside /api/\n");
+        return ApiResponse::text(405, "only GET is served outside /api/\n");
     }
-    let bad_request = |message: String| HttpResponse::text(400, message);
+    let bad_request = |message: String| ApiResponse::text(400, message);
     match route {
         "/metrics" => match parse_limit(query, 0) {
             Err(e) => bad_request(e),
-            Ok(_) => HttpResponse {
-                status: 200,
+            Ok(_) => ApiResponse {
                 content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: prom::encode_full(&registry().snapshot(), &crate::scoped().snapshot()),
-                retry_after: None,
+                ..ApiResponse::text(
+                    200,
+                    prom::encode_full(&registry().snapshot(), &crate::scoped().snapshot()),
+                )
             },
         },
         "/healthz" => match parse_limit(query, 0) {
             Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &healthz_json()),
+            Ok(_) => ApiResponse::json(200, &healthz_json(shared.health.as_ref())),
         },
         "/tracez" => match parse_tracez_query(query) {
             Err(e) => bad_request(e),
-            Ok(TracezView::Lanes(limit)) => HttpResponse::json(200, &tracez_json(limit)),
-            Ok(TracezView::Trace(id)) => match tail::tree(&id) {
+            Ok(TracezView::Lanes(limit)) => ApiResponse::json(200, &tracez_json(limit)),
+            Ok(TracezView::Trace(id)) => match shared.tail.tree(&id) {
                 Some((summary, spans)) => {
-                    HttpResponse::text(200, tail::render_waterfall(&summary, &spans))
+                    ApiResponse::text(200, tail::render_waterfall(&summary, &spans))
                 }
-                None => HttpResponse::text(
+                None => ApiResponse::text(
                     404,
                     format!(
                         "no kept span tree for trace {id} (trees are kept for \
@@ -924,31 +871,30 @@ fn respond(method: &str, path: &str, body: String) -> HttpResponse {
                     ),
                 ),
             },
-            Ok(TracezView::Slowest(n)) => HttpResponse::json(200, &tail::slowest_json(n)),
+            Ok(TracezView::Slowest(n)) => ApiResponse::json(200, &shared.tail.slowest_json(n)),
         },
         "/tracez/export" => match parse_limit(query, 0) {
             Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &tail::export()),
+            Ok(_) => ApiResponse::json(200, &shared.tail.export()),
         },
         "/eventz" => match parse_limit(query, EVENTZ_EVENT_LIMIT) {
             Err(e) => bad_request(e),
-            Ok(limit) => HttpResponse::json(200, &events::eventz_json(limit)),
+            Ok(limit) => ApiResponse::json(200, &events::eventz_json(limit)),
         },
         "/sloz" => match parse_limit(query, 0) {
             Err(e) => bad_request(e),
-            Ok(_) => HttpResponse::json(200, &slo::sloz_json()),
+            Ok(_) => ApiResponse::json(200, &slo::sloz_json()),
         },
-        _ => HttpResponse::text(
+        _ => ApiResponse::text(
             404,
             "try /metrics, /healthz, /tracez, /tracez/export, /eventz, /sloz, or /api/sessions\n",
         ),
     }
 }
 
-fn healthz_json() -> Value {
-    let health = health_slot().lock().expect("obs health poisoned").clone();
+fn healthz_json(health: Option<&HealthInfo>) -> Value {
     let build = crate::build_info();
-    let degraded_cause = health.as_ref().and_then(|h| h.degraded.clone());
+    let degraded_cause = health.and_then(|h| h.degraded.as_deref());
     let mut pairs = vec![
         (
             "status",
@@ -983,7 +929,7 @@ fn healthz_json() -> Value {
 /// Degraded-mode counters for `/healthz`, read from the registry by
 /// name (same contract as [`guard_json`]): `degraded_now` is derived as
 /// enters minus exits, so it reads `1` while the store is read-only
-/// even when [`set_health`] has not been refreshed since the failure.
+/// even when the server's [`HealthInfo`] predates the failure.
 fn durability_json() -> Value {
     let snapshot = registry().snapshot();
     let read = |name: &str| snapshot.counter(name).unwrap_or(0);
@@ -1075,22 +1021,17 @@ fn tracez_json(limit: usize) -> Value {
 mod tests {
     use super::*;
 
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("response has a header/body split");
-        (head.to_owned(), body.to_owned())
+    fn spawn_default() -> ServerGuard {
+        ObsServer::bind("0", ServerConfig::default())
+            .expect("bind ephemeral")
+            .spawn()
     }
 
-    fn post(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
+    fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
         write!(
             stream,
-            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         )
         .unwrap();
@@ -1100,6 +1041,28 @@ mod tests {
             .split_once("\r\n\r\n")
             .expect("response has a header/body split");
         (head.to_owned(), body.to_owned())
+    }
+
+    fn get(addr: SocketAddr, path: &str) -> (String, String) {
+        request(addr, "GET", path, "")
+    }
+
+    fn post(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
+        request(addr, "POST", path, body)
+    }
+
+    /// Whatever arrives until EOF or a reset: a server that stops
+    /// reading early may turn its close into a reset.
+    fn read_until_closed(stream: &mut TcpStream) -> String {
+        let mut bytes = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => bytes.extend_from_slice(&buf[..n]),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 
     #[test]
@@ -1122,7 +1085,7 @@ mod tests {
     #[test]
     fn server_answers_metrics_healthz_tracez_and_404() {
         registry().counter("obs.test.http_unit").add(3);
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let addr = guard.addr();
 
         let (head, body) = get(addr, "/metrics");
@@ -1143,14 +1106,22 @@ mod tests {
             .and_then(Value::as_u64)
             .is_some());
 
-        set_health(Some(HealthInfo {
-            generation: 4,
-            journal_lag_bytes: 128,
-            journal_lag_records: 2,
-            degraded: None,
-        }));
-        let (_, body) = get(addr, "/healthz");
-        let health = Value::parse(body.trim()).unwrap();
+        assert_eq!(health.get("store").and_then(Value::as_str), Some("none"));
+
+        let health_of = |degraded: Option<&str>| {
+            let server = ObsServer::bind("0", ServerConfig::default())
+                .expect("bind ephemeral")
+                .with_health(HealthInfo {
+                    generation: 4,
+                    journal_lag_bytes: 128,
+                    journal_lag_records: 2,
+                    degraded: degraded.map(str::to_owned),
+                })
+                .spawn();
+            let (_, body) = get(server.addr(), "/healthz");
+            Value::parse(body.trim()).unwrap()
+        };
+        let health = health_of(None);
         assert_eq!(health.get("generation").and_then(Value::as_u64), Some(4));
         assert_eq!(
             health.get("journal_lag_bytes").and_then(Value::as_u64),
@@ -1164,14 +1135,7 @@ mod tests {
             .and_then(Value::as_u64)
             .is_some());
 
-        set_health(Some(HealthInfo {
-            generation: 4,
-            journal_lag_bytes: 128,
-            journal_lag_records: 2,
-            degraded: Some("fsync".to_owned()),
-        }));
-        let (_, body) = get(addr, "/healthz");
-        let health = Value::parse(body.trim()).unwrap();
+        let health = health_of(Some("fsync"));
         assert_eq!(
             health.get("status").and_then(Value::as_str),
             Some("degraded")
@@ -1180,7 +1144,6 @@ mod tests {
             health.get("degraded").and_then(Value::as_str),
             Some("fsync")
         );
-        set_health(None);
 
         let (head, body) = get(addr, "/tracez");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -1195,7 +1158,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_build_identity_and_uptime() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let (_, body) = get(guard.addr(), "/healthz");
         let health = Value::parse(body.trim()).expect("healthz is JSON");
         assert_eq!(
@@ -1212,7 +1175,7 @@ mod tests {
 
     #[test]
     fn eventz_and_sloz_serve_json() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let addr = guard.addr();
 
         let (head, body) = get(addr, "/eventz");
@@ -1242,7 +1205,7 @@ mod tests {
         assert!(parse_limit(Some("limit=999999999"), 7).is_err());
         assert!(parse_limit(Some("frobnicate=1"), 7).is_err());
 
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let addr = guard.addr();
         let (head, _) = get(addr, "/tracez?limit=5");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -1302,12 +1265,11 @@ mod tests {
     #[test]
     fn tracez_serves_waterfalls_slowest_index_and_export() {
         use crate::context::{FinishedTrace, SpanRec};
-        let _store = tail::TEST_STORE_LOCK.lock().unwrap();
-        tail::clear();
-        // Seed one slow request's tree directly (the end-to-end mint →
-        // collect path is covered by the request_tracing integration
-        // test, which owns the global recording flag in its own
-        // process).
+        // Seed one slow request's tree directly into the server's own
+        // tail store (the end-to-end mint → collect path is covered by
+        // the two_servers integration test, which owns the global
+        // recording flag in its own process).
+        let server = ObsServer::bind("0", ServerConfig::default()).expect("bind ephemeral");
         let ctx = TraceCtx::mint(7, 1);
         let finished = FinishedTrace {
             ctx,
@@ -1330,11 +1292,13 @@ mod tests {
             dropped: 0,
         };
         assert_eq!(
-            tail::record("/api/sessions/:id/ingest", 200, &finished),
+            server
+                .tail
+                .record("/api/sessions/:id/ingest", 200, &finished),
             "slow"
         );
 
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = server.spawn();
         let addr = guard.addr();
 
         let slow_id = ctx.trace_hex();
@@ -1368,13 +1332,12 @@ mod tests {
             .and_then(Value::as_array)
             .is_some_and(|t| !t.is_empty()));
 
-        tail::clear();
         drop(guard);
     }
 
     #[test]
     fn metrics_exports_per_route_latency_and_queue_wait_families() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let addr = guard.addr();
         // One request to /healthz populates its route scope; the next
         // /metrics scrape must show the labelled family and the queue
@@ -1391,24 +1354,14 @@ mod tests {
 
     #[test]
     fn oversized_headers_get_431_not_an_unbounded_buffer() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let mut stream = TcpStream::connect(guard.addr()).expect("connect");
         write!(stream, "GET /metrics HTTP/1.1\r\n").unwrap();
         // One absurd header, comfortably past the cap.
         let filler = "x".repeat(2 * MAX_HEADER_BYTES);
         let _ = write!(stream, "X-Filler: {filler}\r\n\r\n");
-        // The server stops reading at the cap and closes; unread bytes
-        // on its side can turn the close into a reset, so read whatever
-        // arrives instead of insisting on a clean EOF.
-        let mut bytes = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => bytes.extend_from_slice(&buf[..n]),
-            }
-        }
-        let response = String::from_utf8_lossy(&bytes);
+        // The server stops reading at the cap and closes.
+        let response = read_until_closed(&mut stream);
         assert!(
             response.starts_with("HTTP/1.1 431"),
             "expected 431, got: {}",
@@ -1420,7 +1373,7 @@ mod tests {
 
     #[test]
     fn requests_under_the_cap_are_unaffected_by_the_limit() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let mut stream = TcpStream::connect(guard.addr()).expect("connect");
         // Several headers, well under MAX_HEADER_BYTES in total.
         write!(stream, "GET /healthz HTTP/1.1\r\nHost: x\r\n").unwrap();
@@ -1436,7 +1389,7 @@ mod tests {
 
     #[test]
     fn oversized_bodies_get_413() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let mut stream = TcpStream::connect(guard.addr()).expect("connect");
         write!(
             stream,
@@ -1444,15 +1397,7 @@ mod tests {
             MAX_BODY_BYTES + 1
         )
         .unwrap();
-        let mut bytes = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => bytes.extend_from_slice(&buf[..n]),
-            }
-        }
-        let response = String::from_utf8_lossy(&bytes);
+        let response = read_until_closed(&mut stream);
         assert!(
             response.starts_with("HTTP/1.1 413"),
             "expected 413, got: {}",
@@ -1484,16 +1429,20 @@ mod tests {
                 )
             }
         }
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
-        let addr = guard.addr();
-
-        set_api_handler(None);
-        let (head, body) = get(addr, "/api/sessions");
+        let plain = spawn_default();
+        let (head, body) = get(plain.addr(), "/api/sessions");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         assert!(body.contains("--api"), "{body}");
 
-        set_api_handler(Some(Arc::new(Echo)));
-        let (head, body) = post(addr, "/api/sessions/s1/ingest?tenant=t", "{\"x\":1}");
+        let guard = ObsServer::bind("0", ServerConfig::default())
+            .expect("bind ephemeral")
+            .with_api(Arc::new(Echo))
+            .spawn();
+        let (head, body) = post(
+            guard.addr(),
+            "/api/sessions/s1/ingest?tenant=t",
+            "{\"x\":1}",
+        );
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let echoed = Value::parse(body.trim()).expect("echo is JSON");
         assert_eq!(echoed.get("method").and_then(Value::as_str), Some("POST"));
@@ -1509,13 +1458,13 @@ mod tests {
             echoed.get("body").and_then(Value::as_str),
             Some("{\"x\":1}")
         );
-        set_api_handler(None);
+        drop(plain);
         drop(guard);
     }
 
     #[test]
     fn non_get_outside_the_api_is_405() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let (head, _) = post(guard.addr(), "/metrics", "");
         assert!(head.starts_with("HTTP/1.1 405"), "{head}");
         drop(guard);
@@ -1525,7 +1474,7 @@ mod tests {
     fn queue_full_sheds_with_429_and_retry_after() {
         // One worker, zero queue: a second concurrent connection must be
         // shed with 429 + Retry-After while the first is being served.
-        let guard = ObsServer::bind_with(
+        let guard = ObsServer::bind(
             "0",
             ServerConfig {
                 max_connections: 1,
@@ -1563,7 +1512,7 @@ mod tests {
 
     #[test]
     fn queued_connections_are_served_when_a_worker_frees_up() {
-        let guard = ObsServer::bind_with(
+        let guard = ObsServer::bind(
             "0",
             ServerConfig {
                 max_connections: 1,
@@ -1593,7 +1542,7 @@ mod tests {
 
     #[test]
     fn bind_rejects_zero_workers() {
-        assert!(ObsServer::bind_with(
+        assert!(ObsServer::bind(
             "0",
             ServerConfig {
                 max_connections: 0,
@@ -1609,7 +1558,7 @@ mod tests {
         // Tight deadline: a client that trickles its request line slower
         // than the connection deadline must be cut off with 408 and
         // counted, not held for the full io_timeout per byte.
-        let guard = ObsServer::bind_with(
+        let guard = ObsServer::bind(
             "0",
             ServerConfig {
                 io_timeout: Duration::from_millis(400),
@@ -1652,7 +1601,7 @@ mod tests {
 
     #[test]
     fn client_abort_during_response_write_is_counted_not_fatal() {
-        let guard = ObsServer::bind("0").expect("bind ephemeral").spawn();
+        let guard = spawn_default();
         let addr = guard.addr();
         // Send a full request, then slam the connection shut without
         // reading the response: whether the server's write lands in the

@@ -84,8 +84,8 @@ pub use context::{
 };
 pub use events::WideEvent;
 pub use http::{
-    set_api_handler, ApiHandler, ApiRequest, ApiResponse, HealthInfo, ObsServer, ServerConfig,
-    ServerGuard, RETRY_AFTER_SECONDS,
+    ApiHandler, ApiRequest, ApiResponse, HealthInfo, ObsServer, ServerConfig, ServerGuard,
+    RETRY_AFTER_SECONDS,
 };
 pub use metrics::{Counter, CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, BUCKETS};
 pub use registry::{registry, Registry, Snapshot};
@@ -122,26 +122,6 @@ pub fn init_from_env() -> bool {
             recorder::set_recording(true);
             events::set_enabled(true);
         }
-    }
-    // Tail-sampling knobs (see [`tail`]): the slow-tree threshold and
-    // the 1-in-N sample for fast requests.
-    if let Some(us) = std::env::var("CABLE_TRACE_SLOW_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        tail::set_slow_threshold_us(us);
-    }
-    if let Some(n) = std::env::var("CABLE_TRACE_SAMPLE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        tail::set_sample_every(n);
-    }
-    if let Some(seed) = std::env::var("CABLE_TRACE_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        http::set_trace_seed(seed);
     }
     enabled()
 }

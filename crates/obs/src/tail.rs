@@ -8,19 +8,19 @@
 //! * every request leaves a bounded **summary** (ring of
 //!   [`SUMMARY_CAP`]): trace id, route, status, wall time, span count;
 //! * the **complete span tree** is kept only for requests that are slow
-//!   (wall time ≥ the configurable [`slow_threshold_us`]), failed
-//!   (status ≥ 500), or landed on the 1-in-N sample
-//!   ([`set_sample_every`]) — in a ring of [`TREE_CAP`] trees.
+//!   (wall time ≥ the store's slow threshold), failed (status ≥ 500),
+//!   or landed on the 1-in-[`SAMPLE_PERIOD`] sample — in a ring of
+//!   [`TREE_CAP`] trees.
 //!
-//! `/tracez?slowest=N` indexes the summaries; `/tracez?trace=ID`
-//! renders a kept tree as a waterfall; `/tracez/export` dumps the whole
-//! store as a `trace_export` JSON record for `reproduce trace-report`.
+//! Each HTTP server owns one [`TailStore`]. `/tracez?slowest=N` indexes
+//! its summaries; `/tracez?trace=ID` renders a kept tree as a
+//! waterfall; `/tracez/export` dumps the whole store as a
+//! `trace_export` JSON record for `reproduce trace-report`.
 
 use crate::context::{FinishedTrace, SpanRec};
 use crate::json::Value;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Per-request summaries retained (newest wins).
 pub const SUMMARY_CAP: usize = 512;
@@ -28,28 +28,9 @@ pub const SUMMARY_CAP: usize = 512;
 pub const TREE_CAP: usize = 128;
 /// Default slow-request threshold, microseconds.
 pub const DEFAULT_SLOW_US: u64 = 10_000;
-/// Default sampling period for fast, successful requests.
-pub const DEFAULT_SAMPLE_EVERY: u64 = 16;
-
-static SLOW_US: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_US);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_EVERY);
-
-/// Sets the wall-time threshold above which a request's complete span
-/// tree is always kept (`--trace-slow-us` / `CABLE_TRACE_SLOW_US`).
-pub fn set_slow_threshold_us(us: u64) {
-    SLOW_US.store(us, Ordering::Relaxed);
-}
-
-/// The current slow-request threshold, microseconds.
-pub fn slow_threshold_us() -> u64 {
-    SLOW_US.load(Ordering::Relaxed)
-}
-
-/// Keeps the full tree of every `n`-th fast, successful request
-/// (`0` disables sampling; slow/error trees are always kept).
-pub fn set_sample_every(n: u64) {
-    SAMPLE_EVERY.store(n, Ordering::Relaxed);
-}
+/// Sampling period for fast, successful requests: every 16th one keeps
+/// its full tree.
+pub const SAMPLE_PERIOD: u64 = 16;
 
 /// One retained request summary.
 #[derive(Debug, Clone)]
@@ -80,93 +61,158 @@ struct StoredTree {
 }
 
 #[derive(Debug, Default)]
-struct TailStore {
+struct Rings {
     summaries: VecDeque<TraceSummary>,
     trees: VecDeque<StoredTree>,
     /// Requests ever offered (drives the 1-in-N sample).
     seen: u64,
 }
 
-fn store() -> &'static Mutex<TailStore> {
-    static STORE: OnceLock<Mutex<TailStore>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(TailStore::default()))
+/// One server's retained request traces and the policy that keeps them.
+#[derive(Debug)]
+pub struct TailStore {
+    slow_us: u64,
+    sample_every: u64,
+    rings: Mutex<Rings>,
 }
 
-/// Serialises in-crate tests that reset or seed the process-wide tail
-/// store (the store is global; concurrent test clears would race).
-#[cfg(test)]
-pub(crate) static TEST_STORE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Offers a finished request to the tail store. Returns the retention
-/// decision (`slow`/`error`/`sampled`, or `""` for summary-only).
-pub fn record(route: &str, status: u16, finished: &FinishedTrace) -> &'static str {
-    let wall_us = finished.wall_us();
-    let mut tail = store().lock().expect("tail store poisoned");
-    tail.seen += 1;
-    let sample = SAMPLE_EVERY.load(Ordering::Relaxed);
-    let kept = if status >= 500 {
-        "error"
-    } else if wall_us >= SLOW_US.load(Ordering::Relaxed) {
-        "slow"
-    } else if sample > 0 && tail.seen.is_multiple_of(sample) {
-        "sampled"
-    } else {
-        ""
-    };
-    let summary = TraceSummary {
-        trace: finished.ctx.trace_hex(),
-        root: finished.ctx.span_id,
-        route: route.to_owned(),
-        status,
-        wall_us,
-        spans: finished.spans.len(),
-        dropped: finished.dropped,
-        kept,
-    };
-    if !kept.is_empty() && !finished.spans.is_empty() {
-        if tail.trees.len() >= TREE_CAP {
-            tail.trees.pop_front();
+impl TailStore {
+    /// An empty store that always keeps the trees of requests at least
+    /// `slow_us` microseconds long, and samples 1 in [`SAMPLE_PERIOD`]
+    /// of the rest.
+    pub fn new(slow_us: u64) -> TailStore {
+        TailStore {
+            slow_us,
+            sample_every: SAMPLE_PERIOD,
+            rings: Mutex::new(Rings::default()),
         }
-        tail.trees.push_back(StoredTree {
-            summary: summary.clone(),
-            spans: finished.spans.clone(),
+    }
+
+    /// [`TailStore::new`] with another sampling period (`0` samples
+    /// nothing).
+    #[cfg(test)]
+    pub(crate) fn with_sample_every(slow_us: u64, sample_every: u64) -> TailStore {
+        TailStore {
+            sample_every,
+            ..TailStore::new(slow_us)
+        }
+    }
+
+    fn rings(&self) -> std::sync::MutexGuard<'_, Rings> {
+        self.rings.lock().expect("tail store poisoned")
+    }
+
+    /// Offers a finished request. Returns the retention decision
+    /// (`slow`/`error`/`sampled`, or `""` for summary-only).
+    pub fn record(&self, route: &str, status: u16, finished: &FinishedTrace) -> &'static str {
+        let wall_us = finished.wall_us();
+        let mut tail = self.rings();
+        tail.seen += 1;
+        let kept = if status >= 500 {
+            "error"
+        } else if wall_us >= self.slow_us {
+            "slow"
+        } else if self.sample_every > 0 && tail.seen.is_multiple_of(self.sample_every) {
+            "sampled"
+        } else {
+            ""
+        };
+        let summary = TraceSummary {
+            trace: finished.ctx.trace_hex(),
+            root: finished.ctx.span_id,
+            route: route.to_owned(),
+            status,
+            wall_us,
+            spans: finished.spans.len(),
+            dropped: finished.dropped,
+            kept,
+        };
+        if !kept.is_empty() && !finished.spans.is_empty() {
+            if tail.trees.len() >= TREE_CAP {
+                tail.trees.pop_front();
+            }
+            tail.trees.push_back(StoredTree {
+                summary: summary.clone(),
+                spans: finished.spans.clone(),
+            });
+        }
+        if tail.summaries.len() >= SUMMARY_CAP {
+            tail.summaries.pop_front();
+        }
+        tail.summaries.push_back(summary);
+        kept
+    }
+
+    /// The `n` slowest retained summaries, slowest first (ties broken
+    /// by trace id so the index is stable).
+    fn slowest(&self, n: usize) -> Vec<TraceSummary> {
+        let mut out: Vec<TraceSummary> = self.rings().summaries.iter().cloned().collect();
+        out.sort_by(|a, b| {
+            b.wall_us
+                .cmp(&a.wall_us)
+                .then_with(|| a.trace.cmp(&b.trace))
         });
+        out.truncate(n);
+        out
     }
-    if tail.summaries.len() >= SUMMARY_CAP {
-        tail.summaries.pop_front();
+
+    /// Looks up a kept span tree by its 32-hex-digit trace id.
+    pub fn tree(&self, trace_hex: &str) -> Option<(TraceSummary, Vec<SpanRec>)> {
+        self.rings()
+            .trees
+            .iter()
+            .rev()
+            .find(|t| t.summary.trace == trace_hex)
+            .map(|t| (t.summary.clone(), t.spans.clone()))
     }
-    tail.summaries.push_back(summary);
-    kept
-}
 
-/// The `n` slowest retained summaries, slowest first (ties broken by
-/// trace id so the index is stable).
-pub fn slowest(n: usize) -> Vec<TraceSummary> {
-    let tail = store().lock().expect("tail store poisoned");
-    let mut out: Vec<TraceSummary> = tail.summaries.iter().cloned().collect();
-    out.sort_by(|a, b| {
-        b.wall_us
-            .cmp(&a.wall_us)
-            .then_with(|| a.trace.cmp(&b.trace))
-    });
-    out.truncate(n);
-    out
-}
+    /// The `/tracez?slowest=N` body: the N slowest retained summaries.
+    pub fn slowest_json(&self, n: usize) -> Value {
+        Value::object([
+            ("record", Value::from("trace_slowest")),
+            ("slow_threshold_us", Value::from(self.slow_us)),
+            (
+                "slowest",
+                Value::Array(self.slowest(n).iter().map(summary_json).collect()),
+            ),
+        ])
+    }
 
-/// Looks up a kept span tree by its 32-hex-digit trace id.
-pub fn tree(trace_hex: &str) -> Option<(TraceSummary, Vec<SpanRec>)> {
-    let tail = store().lock().expect("tail store poisoned");
-    tail.trees
-        .iter()
-        .rev()
-        .find(|t| t.summary.trace == trace_hex)
-        .map(|t| (t.summary.clone(), t.spans.clone()))
-}
-
-/// Empties the store (tests and capture-window scoping).
-pub fn clear() {
-    let mut tail = store().lock().expect("tail store poisoned");
-    *tail = TailStore::default();
+    /// The whole store as a `trace_export` JSON record: every summary
+    /// plus every kept span tree. `reproduce trace-report` and
+    /// `check-trace` consume this.
+    pub fn export(&self) -> Value {
+        let tail = self.rings();
+        let summaries: Vec<Value> = tail.summaries.iter().map(summary_json).collect();
+        let traces: Vec<Value> = tail
+            .trees
+            .iter()
+            .map(|t| {
+                let s = &t.summary;
+                Value::object([
+                    ("trace", Value::from(s.trace.as_str())),
+                    ("root", Value::from(hex16(s.root))),
+                    ("route", Value::from(s.route.as_str())),
+                    ("status", Value::from(s.status as u64)),
+                    ("wall_us", Value::from(s.wall_us)),
+                    ("dropped", Value::from(s.dropped)),
+                    ("kept", Value::from(s.kept)),
+                    (
+                        "spans_tree",
+                        Value::Array(t.spans.iter().map(span_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Value::object([
+            ("record", Value::from("trace_export")),
+            ("slow_threshold_us", Value::from(self.slow_us)),
+            ("sample_every", Value::from(self.sample_every)),
+            ("seen", Value::from(tail.seen)),
+            ("summaries", Value::Array(summaries)),
+            ("traces", Value::Array(traces)),
+        ])
+    }
 }
 
 fn hex16(v: u64) -> String {
@@ -193,57 +239,6 @@ fn span_json(s: &SpanRec) -> Value {
         ("parent", Value::from(hex16(s.parent))),
         ("start_ns", Value::from(s.start_ns)),
         ("end_ns", Value::from(s.end_ns)),
-    ])
-}
-
-/// The `/tracez?slowest=N` body: the N slowest retained summaries.
-pub fn slowest_json(n: usize) -> Value {
-    Value::object([
-        ("record", Value::from("trace_slowest")),
-        ("slow_threshold_us", Value::from(slow_threshold_us())),
-        (
-            "slowest",
-            Value::Array(slowest(n).iter().map(summary_json).collect()),
-        ),
-    ])
-}
-
-/// The whole store as a `trace_export` JSON record: every summary plus
-/// every kept span tree. `reproduce trace-report` and `check-trace`
-/// consume this.
-pub fn export() -> Value {
-    let tail = store().lock().expect("tail store poisoned");
-    let summaries: Vec<Value> = tail.summaries.iter().map(summary_json).collect();
-    let traces: Vec<Value> = tail
-        .trees
-        .iter()
-        .map(|t| {
-            let s = &t.summary;
-            Value::object([
-                ("trace", Value::from(s.trace.as_str())),
-                ("root", Value::from(hex16(s.root))),
-                ("route", Value::from(s.route.as_str())),
-                ("status", Value::from(s.status as u64)),
-                ("wall_us", Value::from(s.wall_us)),
-                ("dropped", Value::from(s.dropped)),
-                ("kept", Value::from(s.kept)),
-                (
-                    "spans_tree",
-                    Value::Array(t.spans.iter().map(span_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    Value::object([
-        ("record", Value::from("trace_export")),
-        ("slow_threshold_us", Value::from(slow_threshold_us())),
-        (
-            "sample_every",
-            Value::from(SAMPLE_EVERY.load(Ordering::Relaxed)),
-        ),
-        ("seen", Value::from(tail.seen)),
-        ("summaries", Value::Array(summaries)),
-        ("traces", Value::Array(traces)),
     ])
 }
 
@@ -321,8 +316,6 @@ mod tests {
     use super::*;
     use crate::context::TraceCtx;
 
-    use super::TEST_STORE_LOCK as STORE_LOCK;
-
     fn finished(seq: u64, wall_us: u64, n_spans: usize) -> FinishedTrace {
         let ctx = TraceCtx::mint(99, seq);
         let mut spans = vec![SpanRec {
@@ -350,44 +343,54 @@ mod tests {
 
     #[test]
     fn retention_keeps_slow_error_and_sampled_trees() {
-        let _guard = STORE_LOCK.lock().unwrap();
-        clear();
-        set_slow_threshold_us(5_000);
-        set_sample_every(0);
-        assert_eq!(record("/api/label", 200, &finished(1, 100, 3)), "");
-        assert_eq!(record("/api/label", 200, &finished(2, 9_000, 3)), "slow");
-        assert_eq!(record("/api/label", 500, &finished(3, 100, 3)), "error");
-        set_sample_every(1);
-        assert_eq!(record("/api/label", 200, &finished(4, 100, 3)), "sampled");
-        set_sample_every(DEFAULT_SAMPLE_EVERY);
-        set_slow_threshold_us(DEFAULT_SLOW_US);
+        let store = TailStore::with_sample_every(5_000, 0);
+        assert_eq!(store.record("/api/label", 200, &finished(1, 100, 3)), "");
+        assert_eq!(
+            store.record("/api/label", 200, &finished(2, 9_000, 3)),
+            "slow"
+        );
+        assert_eq!(
+            store.record("/api/label", 500, &finished(3, 100, 3)),
+            "error"
+        );
+        let sampling = TailStore::with_sample_every(5_000, 1);
+        assert_eq!(
+            sampling.record("/api/label", 200, &finished(4, 100, 3)),
+            "sampled"
+        );
 
-        let idx = slowest(10);
-        assert_eq!(idx.len(), 4);
+        let idx = store.slowest(10);
+        assert_eq!(idx.len(), 3);
         assert_eq!(idx[0].wall_us, 9_000, "slowest first");
         // Fast unsampled request: summary only, no tree.
         let fast = finished(1, 100, 3).ctx.trace_hex();
-        assert!(tree(&fast).is_none());
+        assert!(store.tree(&fast).is_none());
         let slow = finished(2, 9_000, 3).ctx.trace_hex();
-        let (summary, spans) = tree(&slow).expect("slow tree kept");
+        let (summary, spans) = store.tree(&slow).expect("slow tree kept");
         assert_eq!(summary.kept, "slow");
         assert_eq!(spans.len(), 3);
         let text = render_waterfall(&summary, &spans);
         assert!(text.contains("http.request"), "{text}");
         assert!(text.contains("step"), "{text}");
-        clear();
+    }
+
+    #[test]
+    fn the_default_store_samples_one_in_sample_period() {
+        let store = TailStore::new(DEFAULT_SLOW_US);
+        let kept: Vec<&str> = (1..=2 * SAMPLE_PERIOD)
+            .map(|seq| store.record("/api/label", 200, &finished(seq, 100, 2)))
+            .collect();
+        assert_eq!(kept.iter().filter(|k| **k == "sampled").count(), 2);
+        assert_eq!(kept[SAMPLE_PERIOD as usize - 1], "sampled");
     }
 
     #[test]
     fn export_round_trips_and_is_bounded() {
-        let _guard = STORE_LOCK.lock().unwrap();
-        clear();
-        set_slow_threshold_us(0); // keep everything
+        let store = TailStore::new(0); // keep everything
         for seq in 0..(SUMMARY_CAP + 10) as u64 {
-            record("/api/ingest", 200, &finished(seq, 50, 2));
+            store.record("/api/ingest", 200, &finished(seq, 50, 2));
         }
-        set_slow_threshold_us(DEFAULT_SLOW_US);
-        let value = export();
+        let value = store.export();
         assert_eq!(
             value.get("record").and_then(Value::as_str),
             Some("trace_export")
@@ -405,6 +408,5 @@ mod tests {
         // Round-trips through the hand-rolled JSON.
         let text = value.to_string();
         assert_eq!(Value::parse(&text).unwrap(), value);
-        clear();
     }
 }

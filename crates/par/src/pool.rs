@@ -80,6 +80,10 @@ impl Shared {
 
     fn push(self: &Arc<Self>, task: Task) {
         TASKS.get().incr();
+        // Count the unit before it is visible: a thief may take it (and
+        // decrement) the moment it is queued.
+        let queued = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        QUEUE_MAX.get().record_max(queued);
         match self.worker_index() {
             Some(w) => self.deques[w]
                 .lock()
@@ -91,8 +95,6 @@ impl Shared {
                 .expect("par injector poisoned")
                 .push_back(task),
         }
-        let queued = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        QUEUE_MAX.get().record_max(queued);
         self.idle.notify_one();
     }
 
@@ -348,10 +350,11 @@ impl Pool {
         let chunk = crate::chunk_size(n);
         let n_chunks = n.div_ceil(chunk);
         let stage = Stage::new(label, observe);
-        // Capture the caller's trace context once; every chunk adopts it
-        // with `CHUNK_TAG | chunk_index`. Chunk boundaries depend only on
-        // the item count, so the sequential and parallel paths mint
-        // *identical* span ids — the determinism gate compares them.
+        // Capture the caller's trace context once, on both paths; every
+        // chunk adopts it with `CHUNK_TAG | chunk_index`. Chunk
+        // boundaries depend only on the item count, so the sequential
+        // and parallel paths mint *identical* span ids — the
+        // determinism gate compares them.
         let trace = context::capture();
         let results = if self.threads() <= 1 || n_chunks == 1 {
             let mut results = Vec::with_capacity(n_chunks);
@@ -374,26 +377,26 @@ impl Pool {
                     let end = (start + chunk).min(n);
                     let slice = &items[start..end];
                     let (f, results, stage) = (&f, &results, &stage);
-                    let trace = trace.clone();
-                    s.spawn(move || {
-                        // Restore the request context on whichever worker
-                        // stole this chunk, under the chunk's own tag.
-                        let _adopt = trace
-                            .as_ref()
-                            .map(|t| t.adopt(context::CHUNK_TAG | index as u64));
-                        // Spans the unit opens attribute under the stage
-                        // label, not a detached per-worker stack.
-                        let _stage_guard = cable_obs::enter_stage(label);
-                        let busy_start = observe.then(Instant::now);
-                        cable_obs::recorder::begin(label);
-                        let value = f(start, slice);
-                        cable_obs::recorder::end(label);
-                        stage.record_busy(busy_start);
-                        results
-                            .lock()
-                            .expect("par results poisoned")
-                            .push((start, value));
-                    });
+                    // The unit adopts the request context on whichever
+                    // worker steals it, under the chunk's own tag.
+                    s.spawn_adopting(
+                        trace.clone(),
+                        context::CHUNK_TAG | index as u64,
+                        move || {
+                            // Spans the unit opens attribute under the stage
+                            // label, not a detached per-worker stack.
+                            let _stage_guard = cable_obs::enter_stage(label);
+                            let busy_start = observe.then(Instant::now);
+                            cable_obs::recorder::begin(label);
+                            let value = f(start, slice);
+                            cable_obs::recorder::end(label);
+                            stage.record_busy(busy_start);
+                            results
+                                .lock()
+                                .expect("par results poisoned")
+                                .push((start, value));
+                        },
+                    );
                 }
             });
             results.into_inner().expect("par results poisoned")
@@ -465,10 +468,6 @@ struct ScopeState {
     remaining: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Units spawned so far; each unit adopts the submitter's trace
-    /// context under `SPAWN_TAG | its own index`, so span ids don't
-    /// depend on which worker wins the unit.
-    spawn_seq: AtomicU64,
     /// Set when any unit of the scope panics (or bails on a guard
     /// error): queued-but-unstarted siblings are skipped, the scope's
     /// outcome is already decided.
@@ -494,18 +493,27 @@ impl<'env> Scope<'env> {
     /// fault-injection point (`panic@par.task`); a unit of an already
     /// poisoned scope is skipped without running.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        *self.state.remaining.lock().expect("par scope poisoned") += 1;
-        let state = self.state.clone();
         // Snapshot the submitter's trace context *here*, before the unit
         // moves: the worker that eventually runs it may be mid-steal on a
-        // different request (or on none at all).
-        let trace = context::capture();
-        let spawn_seq = self.state.spawn_seq.fetch_add(1, Ordering::Relaxed);
+        // different request (or on none at all). Each capture reserves
+        // its own key, so span ids don't depend on which worker wins the
+        // unit.
+        self.spawn_adopting(context::capture(), context::SPAWN_TAG, f);
+    }
+
+    /// [`Scope::spawn`] with the trace context to adopt (under `tag`)
+    /// given by the caller.
+    fn spawn_adopting(
+        &self,
+        trace: Option<context::TraceHandle>,
+        tag: u64,
+        f: impl FnOnce() + Send + 'env,
+    ) {
+        *self.state.remaining.lock().expect("par scope poisoned") += 1;
+        let state = self.state.clone();
         let wrapper = move || {
             if !state.poisoned.load(Ordering::Relaxed) {
-                let _adopt = trace
-                    .as_ref()
-                    .map(|t| t.adopt(context::SPAWN_TAG | spawn_seq));
+                let _adopt = trace.as_ref().map(|t| t.adopt(tag));
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     cable_guard::faults::maybe_panic("par.task");
                     f()

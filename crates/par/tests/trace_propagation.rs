@@ -188,3 +188,37 @@ fn concurrent_requests_do_not_bleed_into_each_other() {
         "span ids shared between concurrent requests"
     );
 }
+
+/// Two fan-outs in a row under one open span, as a sharded lattice
+/// build runs its shard, merge and extent stages: chunk `k` of each
+/// stage must get its own span id, and the tree must still be the same
+/// at any worker count.
+#[test]
+fn successive_fan_outs_under_one_span_get_unique_ids() {
+    let _guard = lock();
+    recorder::set_recording(true);
+    let items: Vec<u64> = (0..40).collect();
+    let mut shapes = Vec::new();
+    for threads in [1usize, 8] {
+        let pool = Pool::new(threads);
+        let guard = context::begin_request(TraceCtx::mint(17, 3), "http.request", 0);
+        recorder::begin("tp.build");
+        let firsts = pool.par_map("tp.first", &items, |&x| x + 1);
+        let seconds = pool.par_map("tp.second", &items, |&x| x * 3);
+        recorder::end("tp.build");
+        let trace = guard.finish();
+        assert_eq!(firsts[39] + seconds[39], 40 + 117);
+        assert!(count(&trace, "tp.first") >= 2, "{threads} threads");
+        let ids: BTreeSet<u64> = trace.spans.iter().map(|s| s.span).collect();
+        assert_eq!(
+            ids.len(),
+            trace.spans.len(),
+            "{threads} threads: span ids repeat"
+        );
+        shapes.push(shape(&trace));
+    }
+    assert_eq!(
+        shapes[0], shapes[1],
+        "span ids differ between 1 and 8 threads"
+    );
+}

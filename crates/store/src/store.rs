@@ -431,7 +431,7 @@ impl Store {
     ///
     /// The batch is all-or-nothing *in the journal file*: if any append
     /// or fsync fails partway, the frames this batch already wrote are
-    /// truncated back off (see [`Store::rollback_batch`]) before the
+    /// truncated back off (see `Store::rollback_batch`) before the
     /// error propagates, so a later [`Store::open`] replays exactly the
     /// acknowledged prefix — a batch the caller was never acked cannot
     /// resurrect piecemeal.

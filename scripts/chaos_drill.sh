@@ -39,32 +39,13 @@ REQUESTS=${REQUESTS:-16}
 # injected ENOSPC/EIO, every fsync a 1% chance — sustained chaos for the
 # whole run, reproducible from the seed.
 FAULTS=${FAULTS:-20260808:io@store.journal.append=0.02,io@store.fsync=0.01}
-work=$(mktemp -d)
-server_pid=""
-cleanup() {
-  [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 
-start_server() { # $1 store-root, $2 events file, extra env via leading VAR=... on the call
-  CABLE_OBS=1 CABLE_FAULTS="$FAULTS" "$CABLE" serve --obs-listen 0 --api \
-    --store-root "$1" --max-open-sessions 16 --events-out "$2" \
-    > "$work/announce" 2> /dev/null &
-  server_pid=$!
-  addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's|^serving http://\([^/]*\)/.*|\1|p' "$work/announce")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  [ -n "$addr" ] || { echo "serve never announced its address"; exit 1; }
-}
-
-stop_server() {
-  kill "$server_pid"
-  wait "$server_pid" 2>/dev/null || true
-  server_pid=""
+serve_chaos() { # $1 store-root, $2 events file; extra env via leading VAR=... on the call
+  CABLE_OBS=1 CABLE_FAULTS="$FAULTS" start_server "$work/announce" \
+    "$CABLE" serve --obs-listen 0 --api \
+    --store-root "$1" --max-open-sessions 16 --events-out "$2"
 }
 
 count_kind() { # $1 events file, $2 kind
@@ -72,7 +53,7 @@ count_kind() { # $1 events file, $2 kind
 }
 
 echo "== start the labeling service under fault injection ($FAULTS)"
-start_server "$work/tenants" CHAOS_record.jsonl
+serve_chaos "$work/tenants" CHAOS_record.jsonl
 echo "service bound $addr"
 
 echo "== gate 1a: $LABELERS chaos labelers, every 5xx must be declared"
@@ -156,7 +137,7 @@ echo "replayed $replayed sessions, all digests identical"
 echo "== gate 4: the fault timeline is identical at CABLE_PAR=1 and CABLE_PAR=8"
 FAULTS="777:io@store.journal.append=0.05,io@store.fsync=0.03"
 for par in 1 8; do
-  CABLE_PAR=$par start_server "$work/par$par/tenants" "$work/par$par-events.jsonl"
+  CABLE_PAR=$par serve_chaos "$work/par$par/tenants" "$work/par$par-events.jsonl"
   "$LOAD" --addr "$addr" --labelers 1 --requests 24 --seed 777 \
     --tenant-prefix "par" --chaos --max-5xx 0 > /dev/null
   stop_server

@@ -16,30 +16,15 @@
 set -euo pipefail
 
 CABLE=${1:-target/release/cable}
-work=$(mktemp -d)
-server_pid=""
-cleanup() {
-  [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 
 "$CABLE" session open --traces testdata/stdio_violations.traces \
   --store "$work/store" > /dev/null
 
-"$CABLE" serve --obs-listen 0 --store "$work/store" \
-  > "$work/announce" 2> /dev/null &
-server_pid=$!
-
 # The bound address is the first stdout line:
 #   serving http://127.0.0.1:PORT/metrics /healthz /tracez
-addr=""
-for _ in $(seq 1 50); do
-  addr=$(sed -n 's|^serving http://\([^/]*\)/.*|\1|p' "$work/announce")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve never announced its address"; exit 1; }
+start_server "$work/announce" "$CABLE" serve --obs-listen 0 --store "$work/store"
 echo "serve bound $addr"
 
 health=$(curl -fsS "http://$addr/healthz")
@@ -76,22 +61,12 @@ api_miss=$(curl -s "http://$addr/api/sessions")
 echo "$api_miss" | grep -q -- '--api' \
   || { echo "API 404 does not mention --api"; exit 1; }
 
-kill "$server_pid"
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+stop_server
 
 # ---- The labeling API, end to end -----------------------------------
 
-"$CABLE" serve --obs-listen 0 --api --store-root "$work/tenants" \
-  > "$work/announce_api" 2> /dev/null &
-server_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr=$(sed -n 's|^serving http://\([^/]*\)/.*|\1|p' "$work/announce_api")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "API serve never announced its address"; exit 1; }
+start_server "$work/announce_api" \
+  "$CABLE" serve --obs-listen 0 --api --store-root "$work/tenants"
 echo "API serve bound $addr"
 
 api="http://$addr/api/sessions"

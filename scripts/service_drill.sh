@@ -36,27 +36,13 @@ LOAD=${2:-target/release/cable-load}
 REPRODUCE=${3:-target/release/reproduce}
 LABELERS=${LABELERS:-64}
 REQUESTS=${REQUESTS:-16}
-work=$(mktemp -d)
-server_pid=""
-cleanup() {
-  [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 
 echo "== start the labeling service (port 0, 16 resident sessions, tracing on)"
-CABLE_OBS=1 "$CABLE" serve --obs-listen 0 --api --store-root "$work/tenants" \
-  --max-open-sessions 16 --trace-seed 20260808 --trace-slow-us 0 \
-  > "$work/announce" 2> /dev/null &
-server_pid=$!
-
-addr=""
-for _ in $(seq 1 50); do
-  addr=$(sed -n 's|^serving http://\([^/]*\)/.*|\1|p' "$work/announce")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve never announced its address"; exit 1; }
+CABLE_OBS=1 start_server "$work/announce" \
+  "$CABLE" serve --obs-listen 0 --api --store-root "$work/tenants" \
+  --max-open-sessions 16 --trace-seed 20260808 --trace-slow-us 0
 echo "service bound $addr"
 
 echo "== gate 1a: $LABELERS concurrent labelers, zero 5xx allowed"
@@ -67,9 +53,7 @@ echo "== gate 1a: $LABELERS concurrent labelers, zero 5xx allowed"
 echo "== pull the span-tree export before shutdown"
 "$LOAD" --addr "$addr" --fetch /tracez/export --out TRACE_export.json
 
-kill "$server_pid"
-wait "$server_pid" 2>/dev/null || true
-server_pid=""
+stop_server
 
 echo "== gate 1b: p99 latency within the committed budget"
 "$REPRODUCE" slo-check --records LOAD_record.json --budgets SLO_load_budgets.json

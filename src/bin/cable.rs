@@ -113,6 +113,7 @@ use cable::trace::Vocab;
 use std::fs;
 use std::path::Path;
 use std::process::exit;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -232,10 +233,9 @@ struct Opts {
     api: bool,
     store_root: Option<String>,
     max_open_sessions: Option<usize>,
-    max_connections: Option<usize>,
     request_deadline_ms: Option<u64>,
-    trace_seed: Option<u64>,
-    trace_slow_us: Option<u64>,
+    /// `--max-connections`, `--trace-seed` and `--trace-slow-us`.
+    server: cable::obs::ServerConfig,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -260,10 +260,8 @@ fn parse_opts(args: &[String]) -> Opts {
         api: false,
         store_root: None,
         max_open_sessions: None,
-        max_connections: None,
         request_deadline_ms: None,
-        trace_seed: None,
-        trace_slow_us: None,
+        server: cable::obs::ServerConfig::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -342,13 +340,11 @@ fn parse_opts(args: &[String]) -> Opts {
                 );
             }
             "--max-connections" => {
-                opts.max_connections = Some(
-                    value()
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| usage("--max-connections needs a positive integer")),
-                );
+                opts.server.max_connections = value()
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| usage("--max-connections needs a positive integer"));
             }
             "--request-deadline-ms" => {
                 opts.request_deadline_ms = Some(
@@ -358,18 +354,14 @@ fn parse_opts(args: &[String]) -> Opts {
                 );
             }
             "--trace-seed" => {
-                opts.trace_seed = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| usage("--trace-seed needs an integer")),
-                );
+                opts.server.trace_seed = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage("--trace-seed needs an integer"));
             }
             "--trace-slow-us" => {
-                opts.trace_slow_us = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| usage("--trace-slow-us needs an integer")),
-                );
+                opts.server.trace_slow_us = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage("--trace-slow-us needs an integer"));
             }
             other => usage(&format!("unknown option {other:?}")),
         }
@@ -710,9 +702,9 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
                 eprintln!("wrote {path}");
             }
             if let Some(addr) = &opts.obs_listen {
-                publish_health(&stored);
+                let health = store_health(&stored);
                 let _profiler = spawn_profiler(Path::new(dir), opts);
-                serve_blocking(addr, resolve_server_config(opts));
+                serve_blocking(addr, opts.server, health, None);
             }
             0
         }
@@ -739,58 +731,31 @@ fn session_cmd(sub: &str, opts: &Opts) -> i32 {
     }
 }
 
-/// Publishes the stored session's generation and journal lag to the
-/// `/healthz` endpoint.
-fn publish_health(stored: &StoredSession) {
-    match stored.health() {
-        Ok(health) => cable::obs::http::set_health(Some(health)),
-        Err(e) => eprintln!("warning: could not read store health: {e}"),
-    }
+/// The stored session's generation and journal lag, for `/healthz`.
+fn store_health(stored: &StoredSession) -> Option<cable::obs::HealthInfo> {
+    stored
+        .health()
+        .map_err(|e| eprintln!("warning: could not read store health: {e}"))
+        .ok()
 }
 
-/// The server sizing: `--max-connections` wins, then `CABLE_MAX_CONNS`,
-/// then the compiled-in default. The per-connection patience knobs
-/// (`CABLE_IO_TIMEOUT_MS` for a single read, `CABLE_CONN_DEADLINE_MS`
-/// for the whole request — the slowloris guard) are env-only. A
-/// malformed env value is a usage error (exit 2), same as a malformed
-/// flag.
-fn resolve_server_config(opts: &Opts) -> cable::obs::ServerConfig {
-    let mut config = cable::obs::ServerConfig::default();
-    if let Some(n) = opts.max_connections {
-        config.max_connections = n;
-    } else if let Ok(v) = std::env::var("CABLE_MAX_CONNS") {
-        if !v.is_empty() {
-            config.max_connections = v
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .unwrap_or_else(|| usage("CABLE_MAX_CONNS must be a positive integer"));
-        }
-    }
-    let millis = |name: &'static str| -> Option<std::time::Duration> {
-        let v = std::env::var(name).ok().filter(|v| !v.is_empty())?;
-        let ms: u64 = v
-            .parse()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .unwrap_or_else(|| usage(&format!("{name} must be a positive integer (ms)")));
-        Some(std::time::Duration::from_millis(ms))
-    };
-    if let Some(t) = millis("CABLE_IO_TIMEOUT_MS") {
-        config.io_timeout = t;
-    }
-    if let Some(t) = millis("CABLE_CONN_DEADLINE_MS") {
-        config.connection_deadline = t;
-    }
-    config
-}
-
-/// Binds the obs HTTP server, announces the bound address on stdout
-/// (so scripts can pass port 0 and discover the port), and serves until
-/// the process is killed.
-fn serve_blocking(addr: &str, config: cable::obs::ServerConfig) -> ! {
-    let server = cable::obs::ObsServer::bind_with(addr, config)
+/// Binds the obs HTTP server, hands it the store health and API plane,
+/// announces the bound address on stdout (so scripts can pass port 0
+/// and discover the port), and serves until the process is killed.
+fn serve_blocking(
+    addr: &str,
+    config: cable::obs::ServerConfig,
+    health: Option<cable::obs::HealthInfo>,
+    api: Option<Arc<dyn cable::obs::ApiHandler>>,
+) -> ! {
+    let mut server = cable::obs::ObsServer::bind(addr, config)
         .unwrap_or_else(|e| die(&format!("binding {addr}: {e}")));
+    if let Some(health) = health {
+        server = server.with_health(health);
+    }
+    if let Some(api) = api {
+        server = server.with_api(api);
+    }
     println!(
         "serving http://{}/metrics /healthz /tracez /eventz /sloz",
         server.addr()
@@ -840,42 +805,35 @@ fn serve(opts: &Opts) -> i32 {
         .obs_listen
         .as_ref()
         .unwrap_or_else(|| usage("--obs-listen ADDR is required"));
-    let config = resolve_server_config(opts);
-    // Trace knobs: flags beat the CABLE_TRACE_SEED / CABLE_TRACE_SLOW_US
-    // environment fallbacks init_from_env already applied.
-    if let Some(seed) = opts.trace_seed {
-        cable::obs::http::set_trace_seed(seed);
-    }
-    if let Some(us) = opts.trace_slow_us {
-        cable::obs::tail::set_slow_threshold_us(us);
-    }
     let mut _profiler = None;
+    let mut health = None;
     if let Some(dir) = &opts.store {
         let (stored, report) = open_store(dir);
         report_recovery(&report);
-        publish_health(&stored);
+        health = store_health(&stored);
         _profiler = spawn_profiler(Path::new(dir), opts);
     }
-    if opts.api {
+    let api: Option<Arc<dyn cable::obs::ApiHandler>> = if opts.api {
         let root = opts
             .store_root
             .as_ref()
             .unwrap_or_else(|| usage("--api needs --store-root DIR"));
-        let manager = std::sync::Arc::new(cable::session::SessionManager::new(
+        let manager = Arc::new(cable::session::SessionManager::new(
             root,
             opts.max_open_sessions.unwrap_or(8),
         ));
-        let api = cable::session::CableApi::new(
+        Some(Arc::new(cable::session::CableApi::new(
             manager,
             opts.request_deadline_ms
                 .filter(|&ms| ms > 0)
                 .map(std::time::Duration::from_millis),
-        );
-        cable::obs::set_api_handler(Some(std::sync::Arc::new(api)));
+        )))
     } else if opts.store_root.is_some() {
         usage("--store-root only applies with --api");
-    }
-    serve_blocking(addr, config);
+    } else {
+        None
+    };
+    serve_blocking(addr, opts.server, health, api);
 }
 
 /// `cable profile diff BEFORE AFTER`: the self-time regression report

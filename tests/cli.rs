@@ -835,25 +835,15 @@ fn http_post(addr: &str, path: &str, body: &str) -> (String, String) {
     (status, body.to_owned())
 }
 
-/// Satellite `--max-connections` configurability: the flag and the
-/// `CABLE_MAX_CONNS` environment variable size the worker pool, and
-/// every unknown or non-positive value is a usage error (exit 2), never
-/// a silent fallback to the default.
+/// `--max-connections` sizes the worker pool, and every unknown or
+/// non-positive value is a usage error (exit 2), never a silent
+/// fallback to the default.
 #[test]
 fn max_connections_rejects_bad_values_and_accepts_good_ones() {
     for bad in ["0", "-1", "eight", ""] {
         let out = cable(&["serve", "--obs-listen", "0", "--max-connections", bad]);
         assert_eq!(out.status.code(), Some(2), "--max-connections {bad:?}");
         assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
-    }
-    for bad in ["0", "nope"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cable"))
-            .args(["serve", "--obs-listen", "0"])
-            .env("CABLE_MAX_CONNS", bad)
-            .output()
-            .expect("cable runs");
-        assert_eq!(out.status.code(), Some(2), "CABLE_MAX_CONNS={bad:?}");
-        assert!(stderr(&out).contains("CABLE_MAX_CONNS"), "{}", stderr(&out));
     }
     // `--api` and `--store-root` only make sense together.
     let out = cable(&["serve", "--obs-listen", "0", "--api"]);
@@ -972,4 +962,58 @@ fn serve_api_labels_sessions_end_to_end() {
     child.kill().unwrap();
     child.wait().unwrap();
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sharded lattice build runs several `par_map` fan-outs under one
+/// `fca.lattice.build` span; every chunk of every fan-out must get its
+/// own span id, or the exported trees break `check-trace`. One session
+/// of 70 distinct traces, built on two workers with every tree kept,
+/// must export well-formed span trees.
+#[test]
+fn tracez_export_of_a_sharded_lattice_build_is_well_formed() {
+    let dir = tmp_dir("sharded-export");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cable"))
+        .args(["serve", "--obs-listen", "0", "--api", "--store-root"])
+        .arg(dir.join("tenants"))
+        .args(["--trace-slow-us", "0"])
+        .env("CABLE_PAR", "2")
+        .env("CABLE_OBS", "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve starts");
+    let mut announce = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut announce)
+        .unwrap();
+    let addr = announce
+        .trim()
+        .strip_prefix("serving http://")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or_else(|| panic!("unexpected announcement {announce:?}"))
+        .to_owned();
+
+    let mut traces = String::new();
+    for reads in 1..=70 {
+        traces.push_str("fopen(#1)");
+        for _ in 0..reads {
+            traces.push_str(" fread(#1)");
+        }
+        traces.push_str(" fclose(#1)\\n");
+    }
+    let (status, body) = http_post(
+        &addr,
+        "/api/sessions",
+        &format!("{{\"tenant\": \"t\", \"session\": \"s\", \"traces\": \"{traces}\"}}"),
+    );
+    assert!(status.contains("201"), "{status} {body}");
+    let (status, export) = http_get(&addr, "/tracez/export");
+    assert!(status.contains("200"), "{status}");
+    child.kill().unwrap();
+    child.wait().unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+
+    let summary = cable_bench::check_trace_export(&export)
+        .unwrap_or_else(|problems| panic!("malformed export:\n{}", problems.join("\n")));
+    assert!(summary.traces >= 1, "no span tree was kept");
 }
