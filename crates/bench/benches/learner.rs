@@ -1,5 +1,6 @@
 //! Benchmarks for the miner's back end and Cable's Show FA view: the
-//! sk-strings and k-tails learners.
+//! sk-strings and k-tails learners, on a small spec (FilePair), the
+//! spec with the most merges (XtFree) and the largest PTA (RegionsBig).
 
 use cable_bench::harness::Group;
 use cable_learn::{KTails, Pta, SkStrings};
@@ -21,7 +22,7 @@ fn scenario_corpus(name: &str) -> Vec<Trace> {
 
 fn main() {
     let mut group = Group::new("learner");
-    for name in ["FilePair", "XtFree"] {
+    for name in ["FilePair", "XtFree", "RegionsBig"] {
         let traces = scenario_corpus(name);
         group.bench(&format!("pta/{name}"), || {
             black_box(Pta::build(black_box(&traces)));

@@ -286,6 +286,9 @@ fn main() {
                         ("transitions", Value::from(r.transitions)),
                         ("max_row", Value::from(r.max_row)),
                         ("concepts", Value::from(r.concepts)),
+                        ("mined_states", Value::from(r.mined_states)),
+                        ("mined_transitions", Value::from(r.mined_transitions)),
+                        ("prepare_ms", Value::from(r.prepare_ms)),
                         ("build_ms", Value::from(r.build_ms)),
                         ("ingest_us_per_trace", Value::from(r.ingest_us_per_trace)),
                         ("store_bytes", Value::from(r.store_bytes)),

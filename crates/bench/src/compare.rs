@@ -4,7 +4,8 @@
 //! --json-out` writes:
 //!
 //! * [`compare`] — baseline vs current. Count fields (`traces`, `unique`,
-//!   `transitions`, `max_row`, `concepts`) and the reference-FA choice
+//!   `transitions`, `max_row`, `concepts`, and the mined FA's
+//!   `mined_states` / `mined_transitions`) and the reference-FA choice
 //!   are compared at zero tolerance: any drift is a correctness
 //!   regression and fails the gate outright. Wall time (the summed
 //!   `build_ms`) is compared against a percentage tolerance, so noisy CI
@@ -22,15 +23,25 @@ use std::path::Path;
 
 /// Fields of a `table2_spec` record that must never drift between runs
 /// of the same seed — a change here is a correctness regression, not a
-/// perf one.
-const COUNT_FIELDS: [&str; 5] = ["traces", "unique", "transitions", "max_row", "concepts"];
+/// perf one. The mined FA's size guards the learner: a faster learner
+/// must mine the same automaton.
+const COUNT_FIELDS: [&str; 7] = [
+    "traces",
+    "unique",
+    "transitions",
+    "max_row",
+    "concepts",
+    "mined_states",
+    "mined_transitions",
+];
 
 /// Record fields [`diff`] strips before comparing: everything that
 /// legitimately varies between runs of the same seed. (`store_bytes`
 /// and `journal_bytes` are *not* here — the store encoding is
 /// deterministic, so size drift is a real difference.)
-const TIMING_FIELDS: [&str; 8] = [
+const TIMING_FIELDS: [&str; 9] = [
     "build_ms",
+    "prepare_ms",
     "ingest_us_per_trace",
     "obs",
     "profile",
@@ -253,6 +264,9 @@ mod tests {
             ("transitions", Value::from(9u64)),
             ("max_row", Value::from(7u64)),
             ("concepts", Value::from(concepts)),
+            ("mined_states", Value::from(9u64)),
+            ("mined_transitions", Value::from(14u64)),
+            ("prepare_ms", Value::from(build_ms * 10.0)),
             ("build_ms", Value::from(build_ms)),
             ("obs", Value::object([("counters", Value::object([]))])),
         ])
@@ -280,6 +294,18 @@ mod tests {
         let report = compare(&base, &cur, 1000.0);
         assert!(!report.passed());
         assert!(report.failures[0].contains("concepts drifted 20 -> 21"));
+    }
+
+    #[test]
+    fn mined_fa_drift_fails_regardless_of_tolerance() {
+        let base = vec![spec("A", 20, 1.0)];
+        let mut cur = spec("A", 20, 1.0);
+        if let Value::Object(fields) = &mut cur {
+            fields.insert("mined_transitions".into(), Value::from(15u64));
+        }
+        let report = compare(&base, &[cur], 1000.0);
+        assert!(!report.passed());
+        assert!(report.failures[0].contains("mined_transitions drifted 14 -> 15"));
     }
 
     #[test]

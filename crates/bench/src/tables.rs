@@ -101,6 +101,15 @@ pub struct Table2Row {
     pub max_row: usize,
     /// Concepts in the lattice.
     pub concepts: usize,
+    /// States of the mined (pre-debugging) specification FA.
+    pub mined_states: usize,
+    /// Transitions of the mined specification FA.
+    pub mined_transitions: usize,
+    /// Wall time of the spec's [`prepare`] call in milliseconds: workload
+    /// generation, mining, reference-FA selection and session build. At
+    /// more than one thread it also counts other specs' work that the
+    /// worker runs while it waits on its own nested tasks.
+    pub prepare_ms: f64,
     /// Godin build time in milliseconds (best of three, as the paper
     /// reports the shortest of three runs).
     pub build_ms: f64,
@@ -136,10 +145,14 @@ pub fn table2(registry: &Registry, seed: u64) -> Vec<Table2Row> {
 /// uncontended and each obs delta is attributable to its own spec.
 pub fn table2_with_deltas(registry: &Registry, seed: u64) -> Vec<(Table2Row, cable_obs::Snapshot)> {
     let specs: Vec<&cable_specs::SpecDef> = registry.iter().collect();
-    let prepared = cable_par::par_map("bench.prepare", &specs, |spec| prepare(spec, seed));
+    let prepared = cable_par::par_map("bench.prepare", &specs, |spec| {
+        let start = Instant::now();
+        let p = prepare(spec, seed);
+        (p, start.elapsed().as_secs_f64() * 1000.0)
+    });
     prepared
         .into_iter()
-        .map(|p| {
+        .map(|(p, prepare_ms)| {
             let before = cable_obs::registry().snapshot();
             let ctx = p.session.context();
             // Under an installed budget the row measures the *guarded*
@@ -171,6 +184,9 @@ pub fn table2_with_deltas(registry: &Registry, seed: u64) -> Vec<(Table2Row, cab
                 transitions: p.session.reference_fa().transition_count(),
                 max_row: ctx.max_row_size(),
                 concepts,
+                mined_states: p.mined_fa.state_count(),
+                mined_transitions: p.mined_fa.transition_count(),
+                prepare_ms,
                 build_ms,
                 ingest_us_per_trace,
                 store_bytes,

@@ -1,11 +1,14 @@
 //! Frequency-annotated automata and state merging.
 //!
-//! Both merging learners (sk-strings and k-tails) operate on a
+//! Both merging learners (sk-strings and k-tails) produce a
 //! [`CountedFa`]: a nondeterministic automaton whose transitions carry
 //! traversal counts and whose states carry end-of-trace counts. Merging
 //! two states renumbers the automaton, sums the counts of collapsed
 //! parallel edges, and keeps nondeterminism (distinct destinations for
-//! the same label stay distinct).
+//! the same label stay distinct). k-tails merges through
+//! [`CountedFa::merge`]; sk-strings merges in place in its own
+//! incremental form and ends with the automaton the same merges would
+//! give here.
 
 use cable_fa::{EventPat, Fa, FaBuilder, TransLabel};
 use std::collections::HashMap;
@@ -189,98 +192,6 @@ impl CountedFa {
         }
         b.build().trim()
     }
-
-    /// The distribution of `k`-strings from state `s`: each key is a
-    /// sequence of up to `k` labels, each value the probability of
-    /// producing it (stopping early is allowed and contributes its stop
-    /// probability to the shorter string).
-    ///
-    /// This is the "stochastic k-strings" quantity of the sk-strings
-    /// method.
-    pub fn k_strings(&self, s: usize, k: usize) -> HashMap<Vec<EventPat>, f64> {
-        let mut memo: HashMap<(usize, usize), HashMap<Vec<EventPat>, f64>> = HashMap::new();
-        self.k_strings_memo(s, k, &mut memo)
-    }
-
-    #[allow(clippy::map_entry)]
-    fn k_strings_memo(
-        &self,
-        s: usize,
-        k: usize,
-        memo: &mut HashMap<(usize, usize), HashMap<Vec<EventPat>, f64>>,
-    ) -> HashMap<Vec<EventPat>, f64> {
-        if let Some(d) = memo.get(&(s, k)) {
-            return d.clone();
-        }
-        let mut dist: HashMap<Vec<EventPat>, f64> = HashMap::new();
-        let total = self.total_out(s);
-        if total == 0 {
-            // A dead state produces nothing; treat as stopping.
-            dist.insert(Vec::new(), 1.0);
-            memo.insert((s, k), dist.clone());
-            return dist;
-        }
-        let stop_p = self.accept_counts[s] as f64 / total as f64;
-        if stop_p > 0.0 {
-            dist.insert(Vec::new(), stop_p);
-        }
-        if k > 0 {
-            let outgoing: Vec<(EventPat, usize, u64)> = self
-                .outgoing(s)
-                .map(|(_, p, d, c)| (p.clone(), *d, *c))
-                .collect();
-            for (pat, dst, count) in outgoing {
-                let p = count as f64 / total as f64;
-                let sub = self.k_strings_memo(dst, k - 1, memo);
-                for (string, sp) in sub {
-                    let mut key = Vec::with_capacity(string.len() + 1);
-                    key.push(pat.clone());
-                    key.extend(string);
-                    *dist.entry(key).or_insert(0.0) += p * sp;
-                }
-            }
-        } else {
-            // Truncated at depth k: the remaining mass goes to ε so that
-            // distributions always sum to 1.
-            *dist.entry(Vec::new()).or_insert(0.0) += 1.0 - stop_p;
-        }
-        memo.insert((s, k), dist.clone());
-        dist
-    }
-
-    /// The `k`-string distributions of every state, computed with one
-    /// shared memo table — much cheaper than per-state calls when a
-    /// merging learner needs all of them each round.
-    pub fn k_strings_all(&self, k: usize) -> Vec<HashMap<Vec<EventPat>, f64>> {
-        let mut memo: HashMap<(usize, usize), HashMap<Vec<EventPat>, f64>> = HashMap::new();
-        (0..self.n_states)
-            .map(|s| self.k_strings_memo(s, k, &mut memo))
-            .collect()
-    }
-
-    /// The top strings of the `k`-string distribution: the smallest
-    /// prefix of the probability-sorted strings whose cumulative mass
-    /// reaches `s_percent`/100.
-    pub fn top_k_strings(&self, state: usize, k: usize, s_percent: f64) -> Vec<Vec<EventPat>> {
-        let dist = self.k_strings(state, k);
-        let mut entries: Vec<(Vec<EventPat>, f64)> = dist.into_iter().collect();
-        entries.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("probabilities are not NaN")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let threshold = s_percent / 100.0;
-        let mut cum = 0.0;
-        let mut out = Vec::new();
-        for (string, p) in entries {
-            out.push(string);
-            cum += p;
-            if cum >= threshold {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -323,43 +234,6 @@ mod tests {
         for text in ["a(X) b(X)", "c(X) b(X)"] {
             assert!(fa.accepts(&Trace::parse(text, &mut v).unwrap()));
         }
-    }
-
-    #[test]
-    fn k_strings_distribution_sums_to_one() {
-        let mut v = Vocab::new();
-        let c = counted(&["a(X) b(X)", "a(X) c(X)", "a(X)"], &mut v);
-        for s in 0..c.state_count() {
-            for k in 0..4 {
-                let total: f64 = c.k_strings(s, k).values().sum();
-                assert!((total - 1.0).abs() < 1e-9, "state {s} k {k}: {total}");
-            }
-        }
-    }
-
-    #[test]
-    fn k_strings_probabilities() {
-        let mut v = Vocab::new();
-        let c = counted(&["a(X) b(X)", "a(X) b(X)", "a(X) c(X)", "a(X)"], &mut v);
-        // From the after-a state (1): stop 1/4, b 2/4, c 1/4.
-        let dist = c.k_strings(1, 1);
-        let b = EventPat::exact(&Trace::parse("b(X)", &mut v).unwrap().events()[0]);
-        let c_pat = EventPat::exact(&Trace::parse("c(X)", &mut v).unwrap().events()[0]);
-        assert!((dist[&vec![b.clone()]] - 0.5).abs() < 1e-9);
-        assert!((dist[&vec![c_pat]] - 0.25).abs() < 1e-9);
-        assert!((dist[&Vec::new()] - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn top_k_strings_takes_probability_prefix() {
-        let mut v = Vocab::new();
-        let c = counted(&["a(X) b(X)", "a(X) b(X)", "a(X) c(X)", "a(X)"], &mut v);
-        // From state 1, 50% mass is covered by {b} alone.
-        let top = c.top_k_strings(1, 1, 50.0);
-        assert_eq!(top.len(), 1);
-        // 100% needs all three strings.
-        let all = c.top_k_strings(1, 1, 100.0);
-        assert_eq!(all.len(), 3);
     }
 
     #[test]
